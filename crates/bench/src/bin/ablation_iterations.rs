@@ -25,7 +25,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| (1..=6).map(move |cap| (ki, cap)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, cap)| {
+    let cells = parallel_map(&combos, jobs_from_args()?, |&(ki, cap)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
             max_iterations: cap,

@@ -20,7 +20,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| [4usize, 5, 6].into_iter().map(move |lut_k| (ki, lut_k)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, lut_k)| {
+    let cells = parallel_map(&combos, jobs_from_args()?, |&(ki, lut_k)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
             k: lut_k,

@@ -23,7 +23,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, vi)| {
+    let cells = parallel_map(&combos, jobs_from_args()?, |&(ki, vi)| {
         let k = &kernels[ki];
         let (_, objective, slack) = variants[vi];
         let opts = FlowOptions {

@@ -25,7 +25,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, bool)> = (0..kernels.len())
         .flat_map(|ki| [true, false].into_iter().map(move |on| (ki, on)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, on)| {
+    let cells = parallel_map(&combos, jobs_from_args()?, |&(ki, on)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
             use_penalties: on,

@@ -22,7 +22,7 @@
 //! mapping-semantics change — the head-room only forgives intentional
 //! changes committed together with a refreshed baseline.
 
-use frequenz_bench::CompareError;
+use frequenz_bench::{parse_jobs, CompareError};
 use lutmap::{map_netlist, map_netlist_reference, map_netlist_with_seed, MapOptions};
 use netlist::{elaborate, match_netlists, Netlist};
 use std::time::Instant;
@@ -132,9 +132,8 @@ fn main() -> Result<(), CompareError> {
     let repeats: usize = arg_value("--repeats")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);
-    let headline_jobs: usize = arg_value("--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let args: Vec<String> = std::env::args().collect();
+    let headline_jobs = parse_jobs(&args)?.unwrap_or(4);
     if !SWEEP.contains(&headline_jobs) {
         return Err(format!("--jobs must be one of {SWEEP:?}, got {headline_jobs}").into());
     }

@@ -28,7 +28,7 @@ fn bar(ratio: f64) -> String {
 
 fn main() -> Result<(), frequenz_bench::CompareError> {
     let opts = FlowOptions::default();
-    let rows = run_table1_jobs(&opts, jobs_from_args())?;
+    let rows = run_table1_jobs(&opts, jobs_from_args()?)?;
     println!("\nFigure 5 reproduction — Iter. normalized to Prev. (| marks 1.0):\n");
     println!(
         "{:<15} {:>7}  0.0 ......................... 1.0 .....",

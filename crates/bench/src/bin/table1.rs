@@ -31,7 +31,7 @@ fn json_path() -> Option<String> {
 }
 
 fn main() -> Result<(), frequenz_bench::CompareError> {
-    let jobs = jobs_from_args();
+    let jobs = jobs_from_args()?;
     // One knob drives both pools: kernels compare in parallel *and* each
     // flow's synthesis/slack lanes use the same worker width. Results are
     // bit-identical at any job count, so this only trades wall clock.

@@ -1,6 +1,6 @@
 //! Benchmark harness: the shared Prev-vs-Iter comparison runner used by
 //! the table/figure regeneration binaries (`table1`, `figure5`, the
-//! ablations) and the Criterion benches.
+//! ablations).
 //!
 //! Comparisons run **in parallel** across kernels ([`parallel_map`],
 //! `--jobs N` in every binary) with a per-kernel [`SynthCache`] shared by
@@ -113,26 +113,44 @@ where
         .collect()
 }
 
-/// Parses `--jobs N` (or `-j N`) from the process arguments; defaults to
-/// the machine's available parallelism.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
+/// Finds `--jobs N`, `-j N` or `--jobs=N` in `args`: `Ok(None)` when the
+/// flag is absent.
+///
+/// # Errors
+///
+/// A flag without a value, a value that is not a number, or `0`.
+pub fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
     for (i, a) in args.iter().enumerate() {
-        if a == "--jobs" || a == "-j" {
-            if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        }
-        if let Some(n) = a
-            .strip_prefix("--jobs=")
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return n.max(1);
-        }
+        let value = if a == "--jobs" || a == "-j" {
+            args.get(i + 1)
+                .ok_or_else(|| format!("{a} needs a worker count"))?
+        } else if let Some(v) = a.strip_prefix("--jobs=") {
+            v
+        } else {
+            continue;
+        };
+        return match value.parse::<usize>() {
+            Ok(0) => Err("--jobs must be at least 1, got 0".to_string()),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("--jobs expects a positive integer, got `{value}`")),
+        };
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    Ok(None)
+}
+
+/// [`parse_jobs`] over the process arguments; defaults to the machine's
+/// available parallelism.
+///
+/// # Errors
+///
+/// Same conditions as [`parse_jobs`].
+pub fn jobs_from_args() -> Result<usize, String> {
+    let args: Vec<String> = std::env::args().collect();
+    Ok(parse_jobs(&args)?.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    }))
 }
 
 /// Asserts that `result`'s circuit still computes the kernel's reference
@@ -314,29 +332,19 @@ pub fn run_table1_jobs(
     // FlowMap work was reused across iterations, and what it bought.
     println!();
     println!(
-        "{:<15} | {:>8} {:>8} {:>6} | {:>5} {:>5} | {:>9} | {:>8} {:>8}",
-        "Benchmark",
-        "lbl(re)",
-        "lbl(new)",
-        "re%",
-        "incrS",
-        "fullS",
-        "dirtyBBs",
-        "tFull(s)",
-        "tIncr(s)"
+        "{:<15} | {:>8} {:>8} {:>6} | {:>5} {:>5} | {:>8} {:>8}",
+        "Benchmark", "lbl(re)", "lbl(new)", "re%", "incrS", "fullS", "tFull(s)", "tIncr(s)"
     );
     for c in &rows {
         let t = &c.iter_trace;
         println!(
-            "{:<15} | {:>8} {:>8} {:>5.0}% | {:>5} {:>5} | {:>4}/{:<4} | {:>8.2} {:>8.2}",
+            "{:<15} | {:>8} {:>8} {:>5.0}% | {:>5} {:>5} | {:>8.2} {:>8.2}",
             c.name,
             t.labels_reused,
             t.labels_computed,
             100.0 * t.label_reuse_rate(),
             t.incr_synths,
             t.full_synths,
-            t.dirty_bbs,
-            t.dirty_bbs + t.clean_bbs,
             t.synth_full.as_secs_f64(),
             t.synth_incremental.as_secs_f64(),
         );
@@ -450,7 +458,7 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
              \"luts_prev\": {}, \"luts_iter\": {}, \"ffs_prev\": {}, \"ffs_iter\": {}, \
              \"levels_prev\": {}, \"levels_iter\": {}, \"iterations\": {}, \"converged\": {}, \
              \"labels_reused\": {}, \"labels_computed\": {}, \"label_reuse_rate\": {:.4}, \
-             \"incr_synths\": {}, \"full_synths\": {}, \"dirty_bbs\": {}, \"clean_bbs\": {}, \
+             \"incr_synths\": {}, \"full_synths\": {}, \
              \"synth_full_s\": {:.3}, \"synth_incr_s\": {:.3}, \
              \"milp_s\": {:.3}, \"milp_pivots\": {}, \"milp_nodes\": {}, \
              \"milp_refactors\": {}, \"milp_rows_dropped\": {}, \
@@ -481,8 +489,6 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
             t.label_reuse_rate(),
             t.incr_synths,
             t.full_synths,
-            t.dirty_bbs,
-            t.clean_bbs,
             t.synth_full.as_secs_f64(),
             t.synth_incremental.as_secs_f64(),
             t.milp.as_secs_f64(),
@@ -536,6 +542,25 @@ mod tests {
     }
 
     #[test]
+    fn parse_jobs_accepts_counts_and_rejects_garbage() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_jobs(&args(&["table1"])), Ok(None));
+        assert_eq!(parse_jobs(&args(&["table1", "-j", "3"])), Ok(Some(3)));
+        assert_eq!(parse_jobs(&args(&["table1", "--jobs=2"])), Ok(Some(2)));
+        assert_eq!(parse_jobs(&args(&["table1", "--jobs", "5"])), Ok(Some(5)));
+        for bad in [
+            &["table1", "--jobs", "abc"][..],
+            &["table1", "--jobs=abc"],
+            &["table1", "--jobs", "0"],
+            &["table1", "--jobs=0"],
+            &["table1", "--jobs"],
+            &["table1", "-j"],
+        ] {
+            assert!(parse_jobs(&args(bad)).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
     fn json_rendering_is_well_formed_enough() {
         let rows: Vec<KernelComparison> = Vec::new();
         let j = comparisons_to_json(&rows, 1.25, 4);
@@ -560,8 +585,6 @@ mod tests {
             labels_computed: 10,
             incr_synths: 2,
             full_synths: 1,
-            dirty_bbs: 3,
-            clean_bbs: 9,
             milp_pivots: 123,
             milp_nodes: 7,
             milp_refactors: 2,
@@ -604,8 +627,6 @@ mod tests {
         assert!(j.contains("\"label_reuse_rate\": 0.8000"));
         assert!(j.contains("\"incr_synths\": 2"));
         assert!(j.contains("\"full_synths\": 1"));
-        assert!(j.contains("\"dirty_bbs\": 3"));
-        assert!(j.contains("\"clean_bbs\": 9"));
         assert!(j.contains("\"synth_full_s\": 0.000"));
         assert!(j.contains("\"milp_pivots\": 123"));
         assert!(j.contains("\"milp_nodes\": 7"));

@@ -16,7 +16,7 @@ use crate::synth::{SynthCache, SynthHandle, SynthOptions, Synthesis};
 use crate::timing::TimingGraph;
 use crate::trace::{timed, FlowTrace, SimStats};
 use dataflow::collections::{HashMap, HashSet};
-use dataflow::{count_dirty_bbs, fingerprint_bbs, BufferSpec, ChannelId, Graph};
+use dataflow::{BufferSpec, ChannelId, Graph};
 use lutmap::MapError;
 use std::fmt;
 use std::sync::Arc;
@@ -321,7 +321,6 @@ pub fn optimize_iterative_with_cache(
     // when the fixed-buffer set did not change the synthesis.
     let mut prev_handle: Option<SynthHandle> = None;
     let mut prev_model: Option<(Arc<Synthesis>, LutDfgMap, TimingGraph)> = None;
-    let mut prev_bbs: Option<Vec<(dataflow::BasicBlockId, dataflow::Fingerprint)>> = None;
     let mut classify_cache = ClassifyCache::default();
 
     // One warm-start store for the whole run: iteration i+1's placement
@@ -335,18 +334,6 @@ pub fn optimize_iterative_with_cache(
         // Synthesize the current circuit (with the fixed buffers) and
         // derive the mapping-aware timing model.
         let g_cur = apply_buffers(base, &fixed);
-
-        // Dirty-BB accounting: which basic blocks changed structurally
-        // since the graph the previous iteration synthesized?
-        let cur_bbs = fingerprint_bbs(&g_cur);
-        let dirty = match &prev_bbs {
-            Some(prev) => count_dirty_bbs(prev, &cur_bbs),
-            None => cur_bbs.len(),
-        };
-        trace.dirty_bb_history.push(dirty);
-        trace.dirty_bbs += dirty as u64;
-        trace.clean_bbs += cur_bbs.len().saturating_sub(dirty) as u64;
-        prev_bbs = Some(cur_bbs);
 
         let cur_handle = synth_step(&mut trace, cache, &g_cur, &synth_opts, prev_handle.as_ref())?;
         let synth = cur_handle.synthesis().clone();
@@ -656,8 +643,6 @@ mod tests {
         let k = kernels::gsumif(16);
         let r = optimize_iterative(k.graph(), k.back_edges(), &FlowOptions::default()).unwrap();
         let t = &r.trace;
-        assert_eq!(t.dirty_bb_history.len(), t.iterations);
-        assert!(t.dirty_bbs > 0, "iteration 1 must count all BBs dirty");
         if t.iterations > 1 {
             assert!(
                 t.incr_synths > 0,

@@ -25,7 +25,7 @@
 //! and trial overlays its buffer set on a shared read-only [`Arc`] of that
 //! program ([`CompiledSim::with_buffers`]) — no per-trial graph clone, no
 //! adjacency rebuild, no hash lookups in the cycle loop. The engines are
-//! bit-identical (enforced by the three-way oracle in
+//! bit-identical (enforced by the compiled-vs-sweep oracle in
 //! `tests/sim_equivalence.rs`), so the engine choice can never change the
 //! chosen buffer set — only how fast it arrives.
 //!
@@ -59,10 +59,10 @@ pub struct SlackOptions {
     /// applied in fixed candidate order, so any job count produces the
     /// same buffer set — this is purely a throughput knob.
     pub jobs: usize,
-    /// Simulation engine for profiles and trials. All engines are
-    /// bit-identical; [`SimEngine::Compiled`] (the default here) compiles
-    /// the circuit once per pass and shares the program across trial
-    /// threads, which is what makes large candidate rounds cheap.
+    /// Simulation engine for profiles and trials. The engines are
+    /// bit-identical; [`SimEngine::Compiled`] (the default) compiles the
+    /// circuit once per pass and shares the program across trial threads,
+    /// which is what makes large candidate rounds cheap.
     pub engine: SimEngine,
 }
 
@@ -91,23 +91,11 @@ fn slack_jobs() -> usize {
 }
 
 /// How one pass instantiates simulators: a bytecode program compiled once
-/// and shared (buffer sets overlaid per run), or per-run interpreted
+/// and shared (buffer sets overlaid per run), or per-run full-sweep
 /// simulators over freshly buffered graph clones.
 enum SimFactory<'g> {
-    Compiled(Arc<Program>),
-    Interpreted(&'g Graph, SimEngine),
-}
-
-/// A simulator of either flavor, unified just enough for this pass.
-enum TrialSim<'g> {
-    // Boxed: a CompiledSim is hundreds of bytes of vector headers, far
-    // larger than the interpreted variant.
-    Compiled(Box<CompiledSim>),
-    // The interpreted simulator borrows its graph, so the trial graph
-    // rides along in the same variant (self-referential via Box + the
-    // graph staying put behind it is avoided: profile/run helpers below
-    // never outlive one call, so the graph is owned by the caller frame).
-    Interpreted(Box<Simulator<'g>>),
+    Compiled(&'g Graph, Arc<Program>),
+    Sweep(&'g Graph),
 }
 
 impl<'g> SimFactory<'g> {
@@ -122,9 +110,9 @@ impl<'g> SimFactory<'g> {
             SimEngine::Compiled => {
                 let prog = Arc::new(Program::compile(base)?);
                 sim.compiles += 1;
-                Ok(SimFactory::Compiled(prog))
+                Ok(SimFactory::Compiled(base, prog))
             }
-            other => Ok(SimFactory::Interpreted(base, other)),
+            SimEngine::FullSweep => Ok(SimFactory::Sweep(base)),
         }
     }
 }
@@ -135,37 +123,20 @@ fn run_with<T>(
     factory: &SimFactory<'_>,
     bufs: &[ChannelId],
     budget: u64,
-    inspect: impl FnOnce(Result<u64, SimError>, &TrialSim<'_>) -> T,
+    inspect: impl FnOnce(Result<u64, SimError>, &Simulator<'_>) -> T,
 ) -> Result<T, SimError> {
-    match factory {
-        SimFactory::Compiled(prog) => {
-            let mut vm = CompiledSim::with_buffers(Arc::clone(prog), bufs);
-            let res = vm.run(budget).map(|r| r.cycles);
-            Ok(inspect(res, &TrialSim::Compiled(Box::new(vm))))
+    let buffered;
+    let mut s = match factory {
+        SimFactory::Compiled(base, prog) => {
+            Simulator::from_compiled(base, CompiledSim::with_buffers(Arc::clone(prog), bufs))
         }
-        SimFactory::Interpreted(base, engine) => {
-            let g = apply_buffers(base, bufs);
-            let mut s = Simulator::with_engine(&g, *engine)?;
-            let res = s.run(budget).map(|r| r.cycles);
-            Ok(inspect(res, &TrialSim::Interpreted(Box::new(s))))
+        SimFactory::Sweep(base) => {
+            buffered = apply_buffers(base, bufs);
+            Simulator::with_engine(&buffered, SimEngine::FullSweep)?
         }
-    }
-}
-
-impl TrialSim<'_> {
-    fn stalls(&self, c: ChannelId) -> u64 {
-        match self {
-            TrialSim::Compiled(vm) => vm.stalls(c),
-            TrialSim::Interpreted(s) => s.stalls(c),
-        }
-    }
-
-    fn cycle(&self) -> u64 {
-        match self {
-            TrialSim::Compiled(vm) => vm.cycle(),
-            TrialSim::Interpreted(s) => s.cycle(),
-        }
-    }
+    };
+    let res = s.run(budget).map(|r| r.cycles);
+    Ok(inspect(res, &s))
 }
 
 /// Completion cycles (`None` on run failure), the non-zero per-channel
@@ -535,11 +506,7 @@ mod tests {
     #[test]
     fn stall_profile_identifies_hotspots() {
         let k = kernels::matrix(4);
-        for engine in [
-            SimEngine::FullSweep,
-            SimEngine::EventDriven,
-            SimEngine::Compiled,
-        ] {
+        for engine in [SimEngine::FullSweep, SimEngine::Compiled] {
             let (cycles, stalls, _) =
                 profile_once(k.graph(), k.back_edges(), k.max_cycles * 4, engine);
             assert!(cycles.is_some());
@@ -622,7 +589,7 @@ mod tests {
         g.connect(PortRef::new(u, 0), PortRef::new(x, 0)).unwrap();
         // No validate(): port 1 of `u` dangles. Both engine families must
         // report it as FlowError::Simulation, never panic.
-        for engine in [SimEngine::Compiled, SimEngine::EventDriven] {
+        for engine in [SimEngine::Compiled, SimEngine::FullSweep] {
             let opts = SlackOptions {
                 engine,
                 ..SlackOptions::default()

@@ -72,13 +72,6 @@ pub struct FlowTrace {
     pub labels_reused: u64,
     /// FlowMap labels computed by the max-flow test.
     pub labels_computed: u64,
-    /// Basic blocks whose structure changed since the previous iteration
-    /// (summed over iterations; the first iteration counts all blocks).
-    pub dirty_bbs: u64,
-    /// Basic blocks untouched since the previous iteration (summed).
-    pub clean_bbs: u64,
-    /// Dirty-BB count of each iteration, in order.
-    pub dirty_bb_history: Vec<usize>,
     /// Wall clock inside cycle-accurate simulator runs — CFDFC profiling
     /// and slack-matching trials. A *cross-cutting* lane: it overlaps
     /// `timing` and `slack` (like `synth_full`/`synth_incremental` overlap
@@ -193,10 +186,6 @@ impl FlowTrace {
         self.full_synths += other.full_synths;
         self.labels_reused += other.labels_reused;
         self.labels_computed += other.labels_computed;
-        self.dirty_bbs += other.dirty_bbs;
-        self.clean_bbs += other.clean_bbs;
-        self.dirty_bb_history
-            .extend(other.dirty_bb_history.iter().copied());
         self.sim += other.sim;
         self.sim_runs += other.sim_runs;
         self.sim_cycles += other.sim_cycles;
@@ -221,7 +210,7 @@ impl fmt::Display for FlowTrace {
              sim {:.2}s ({} runs, {} cycles, {} compiles) | \
              total {:.2}s | cache {}/{} hits ({:.0}%) | \
              {} incr / {} full synths | labels {}/{} reused ({:.0}%) | \
-             dirty BBs {}/{} | {} cut rounds | {} iterations | \
+             {} cut rounds | {} iterations | \
              synth jobs {} ({} unit tasks, {} packed)",
             self.synth.as_secs_f64(),
             self.synth_full.as_secs_f64(),
@@ -255,8 +244,6 @@ impl fmt::Display for FlowTrace {
             self.labels_reused,
             self.labels_reused + self.labels_computed,
             100.0 * self.label_reuse_rate(),
-            self.dirty_bbs,
-            self.dirty_bbs + self.clean_bbs,
             self.cut_rounds,
             self.iterations,
             self.synth_jobs,
@@ -318,9 +305,6 @@ mod tests {
             incr_synths: 2,
             labels_reused: 10,
             labels_computed: 30,
-            dirty_bbs: 4,
-            clean_bbs: 6,
-            dirty_bb_history: vec![3, 1],
             sim: Duration::from_millis(7),
             sim_runs: 3,
             sim_cycles: 900,
@@ -351,9 +335,6 @@ mod tests {
         assert_eq!(a.synth_incremental, Duration::from_millis(2));
         assert_eq!(a.incr_synths, 2);
         assert_eq!(a.labels_reused, 10);
-        assert_eq!(a.dirty_bbs, 4);
-        assert_eq!(a.clean_bbs, 6);
-        assert_eq!(a.dirty_bb_history, vec![3, 1]);
         assert_eq!(a.sim, Duration::from_millis(7));
         assert_eq!(a.sim_runs, 3);
         assert_eq!(a.sim_cycles, 900);

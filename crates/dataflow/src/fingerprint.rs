@@ -16,7 +16,6 @@
 //! (2⁻¹²⁸-ish) irrelevant in practice.
 
 use crate::graph::Graph;
-use crate::ids::BasicBlockId;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -109,79 +108,6 @@ pub fn fingerprint_graph(g: &Graph) -> Fingerprint {
     Fingerprint { hi: h.a, lo: h.b }
 }
 
-/// Computes one structural fingerprint per basic block.
-///
-/// A block's print covers its units (kind, name, width, id) and every
-/// channel *incident* to the block — including the channel's buffer spec
-/// and initial tokens, hashed from both the source and the destination
-/// side. Changing a buffer therefore changes the print of both blocks the
-/// channel touches, which is exactly the dirty set an incremental
-/// re-synthesis has to re-examine: buffer logic splices into the producer's
-/// and the consumer's handshake cones.
-///
-/// The result is ordered by block id, one entry per block of `g`.
-pub fn fingerprint_bbs(g: &Graph) -> Vec<(BasicBlockId, Fingerprint)> {
-    let mut lanes: Vec<(BasicBlockId, Lanes)> = g
-        .basic_blocks()
-        .map(|(id, bb)| {
-            let mut h = Lanes::new();
-            id.index().hash(&mut h);
-            bb.name().hash(&mut h);
-            (id, h)
-        })
-        .collect();
-    for (id, unit) in g.units() {
-        let h = &mut lanes[unit.bb().index()].1;
-        id.index().hash(h);
-        unit.kind().hash(h);
-        unit.name().hash(h);
-        unit.width().hash(h);
-    }
-    for (id, ch) in g.channels() {
-        let src_bb = g.unit(ch.src().unit).bb();
-        let dst_bb = g.unit(ch.dst().unit).bb();
-        for bb in [src_bb, dst_bb] {
-            let h = &mut lanes[bb.index()].1;
-            id.index().hash(h);
-            ch.src().unit.index().hash(h);
-            ch.src().port.hash(h);
-            ch.dst().unit.index().hash(h);
-            ch.dst().port.hash(h);
-            ch.width().hash(h);
-            ch.buffer().opaque.hash(h);
-            ch.buffer().transparent.hash(h);
-            ch.initial_tokens().hash(h);
-            if src_bb == dst_bb {
-                break; // intra-block channels hash once
-            }
-        }
-    }
-    lanes
-        .into_iter()
-        .map(|(id, h)| (id, Fingerprint { hi: h.a, lo: h.b }))
-        .collect()
-}
-
-/// Counts the blocks whose fingerprints differ between `prev` and `cur`
-/// (blocks present on only one side count as dirty).
-///
-/// Both slices should come from [`fingerprint_bbs`] runs over the same
-/// base graph with different buffer annotations; the count is the dirty-BB
-/// set size the incremental flow reports per iteration.
-pub fn count_dirty_bbs(
-    prev: &[(BasicBlockId, Fingerprint)],
-    cur: &[(BasicBlockId, Fingerprint)],
-) -> usize {
-    let max = prev.len().max(cur.len());
-    let mut dirty = max - prev.len().min(cur.len());
-    for (p, c) in prev.iter().zip(cur.iter()) {
-        if p != c {
-            dirty += 1;
-        }
-    }
-    dirty
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,44 +154,6 @@ mod tests {
             .connect(PortRef::new(e, 0), PortRef::new(x, 0))
             .unwrap();
         assert_ne!(fingerprint_graph(&g), fingerprint_graph(&other));
-    }
-
-    #[test]
-    fn bb_fingerprints_localize_buffer_changes() {
-        let mut g = Graph::new("bbs");
-        let bb0 = g.add_basic_block("bb0");
-        let bb1 = g.add_basic_block("bb1");
-        let e = g.add_unit(UnitKind::Entry, "e", bb0, 0).unwrap();
-        let m = g.add_unit(UnitKind::Exit, "m", bb0, 0).unwrap();
-        let e1 = g.add_unit(UnitKind::Entry, "e1", bb1, 0).unwrap();
-        let x = g.add_unit(UnitKind::Exit, "x", bb1, 0).unwrap();
-        let c0 = g.connect(PortRef::new(e, 0), PortRef::new(m, 0)).unwrap();
-        let _c1 = g.connect(PortRef::new(e1, 0), PortRef::new(x, 0)).unwrap();
-        let before = fingerprint_bbs(&g);
-        assert_eq!(before.len(), 2);
-        // Buffering the bb0-internal channel dirties bb0 only.
-        g.set_buffer(c0, BufferSpec::FULL);
-        let after = fingerprint_bbs(&g);
-        assert_ne!(before[0].1, after[0].1);
-        assert_eq!(before[1].1, after[1].1);
-        assert_eq!(count_dirty_bbs(&before, &after), 1);
-        assert_eq!(count_dirty_bbs(&after, &after), 0);
-    }
-
-    #[test]
-    fn cross_bb_channel_dirties_both_blocks() {
-        let mut g = Graph::new("xbb");
-        let bb0 = g.add_basic_block("bb0");
-        let bb1 = g.add_basic_block("bb1");
-        let e = g.add_unit(UnitKind::Entry, "e", bb0, 0).unwrap();
-        let x = g.add_unit(UnitKind::Exit, "x", bb1, 0).unwrap();
-        let c = g.connect(PortRef::new(e, 0), PortRef::new(x, 0)).unwrap();
-        let before = fingerprint_bbs(&g);
-        g.set_buffer(c, BufferSpec::FULL);
-        let after = fingerprint_bbs(&g);
-        assert_ne!(before[0].1, after[0].1);
-        assert_ne!(before[1].1, after[1].1);
-        assert_eq!(count_dirty_bbs(&before, &after), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use bb::BasicBlock;
 pub use channel::{BufferSpec, Channel, PortRef};
 pub use cycles::enumerate_simple_cycles;
 pub use error::GraphError;
-pub use fingerprint::{count_dirty_bbs, fingerprint_bbs, fingerprint_graph, Fingerprint};
+pub use fingerprint::{fingerprint_graph, Fingerprint};
 pub use graph::Graph;
 pub use ids::{BasicBlockId, ChannelId, MemoryId, UnitId};
 pub use memory::Memory;

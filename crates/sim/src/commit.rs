@@ -1,24 +1,21 @@
 //! Clock-edge state commit: channel buffer registers, transfer/stall
 //! counters, and per-unit sequential state.
 //!
-//! Each primitive returns `(progressed, state_changed)` so the schedulers
-//! can share the exact same next-state functions: the full sweep ignores
-//! `state_changed` and visits everything; the event-driven scheduler uses
-//! it to seed the next cycle's settle.
+//! Each primitive returns whether it made progress; a cycle in which
+//! nothing progresses (and the exit has not fired) is a deadlock.
 
-use crate::engine::Simulator;
 use crate::state::UnitState;
+use crate::sweep::Sweep;
 use crate::types::SimError;
 use dataflow::{ChannelId, UnitId, UnitKind};
 
-impl Simulator<'_> {
+impl Sweep<'_> {
     /// Commits one channel: transfer/stall counters plus the TEHB/OEHB
-    /// registers. Returns `(progressed, state_changed)`.
-    pub(crate) fn commit_channel(&mut self, cid: ChannelId) -> (bool, bool) {
+    /// registers. Returns whether anything progressed.
+    pub(crate) fn commit_channel(&mut self, cid: ChannelId) -> bool {
         let spec = self.idx.spec[cid.index()];
         let s = self.sig[cid.index()];
         let mut progressed = false;
-        let mut state_changed = false;
         if s.valid_src && s.ready_src {
             self.transfers[cid.index()] += 1;
             progressed = true;
@@ -52,19 +49,17 @@ impl Simulator<'_> {
             if next.tehb_full != st.tehb_full || next.oehb_vld != st.oehb_vld {
                 progressed = true;
             }
-            state_changed = next != st;
             self.chan[cid.index()] = next;
         }
-        (progressed, state_changed)
+        progressed
     }
 
     /// Commits one unit's sequential state (and, for memory ports, the
-    /// memory itself). Returns `(progressed, state_changed)`.
-    pub(crate) fn commit_unit(&mut self, uid: UnitId) -> Result<(bool, bool), SimError> {
+    /// memory itself). Returns whether anything progressed.
+    pub(crate) fn commit_unit(&mut self, uid: UnitId) -> Result<bool, SimError> {
         let kind = self.idx.kind[uid.index()];
         let w = self.idx.width[uid.index()];
         let mut progressed = false;
-        let mut changed = false;
         match kind {
             UnitKind::Entry | UnitKind::Argument { .. } => {
                 let cid = self.out_ch(uid, 0);
@@ -73,7 +68,6 @@ impl Simulator<'_> {
                     if !*fired && s.valid_src && s.ready_src {
                         *fired = true;
                         progressed = true;
-                        changed = true;
                     }
                 }
             }
@@ -102,12 +96,9 @@ impl Simulator<'_> {
                         let transfer = vin && !done && self.oready(uid, i);
                         let next = (done || transfer) && !fire_all;
                         if next != done {
-                            changed = true;
+                            progressed = true;
                         }
                         *slot = next;
-                    }
-                    if changed {
-                        progressed = true;
                     }
                     self.unit[uid.index()] = UnitState::ForkDone(dones);
                 } else {
@@ -152,7 +143,6 @@ impl Simulator<'_> {
                 };
                 if self.unit[uid.index()] != new_state {
                     progressed = true;
-                    changed = true;
                 }
                 self.unit[uid.index()] = new_state;
                 self.scratch = valids;
@@ -167,19 +157,11 @@ impl Simulator<'_> {
                 // skips the commit instead of panicking at the clock edge.
                 if let UnitState::Pipe(stages) = &mut self.unit[uid.index()] {
                     let Some(&(last_v, _)) = stages.last() else {
-                        return Ok((progressed, changed));
+                        return Ok(progressed);
                     };
                     let en = rout || !last_v;
                     if en {
-                        for k in (1..stages.len()).rev() {
-                            if stages[k] != stages[k - 1] {
-                                changed = true;
-                            }
-                            stages[k] = stages[k - 1];
-                        }
-                        if stages[0] != (all, result) {
-                            changed = true;
-                        }
+                        stages.rotate_right(1);
                         stages[0] = (all, result);
                         if all || stages.iter().any(|(v, _)| *v) {
                             progressed = true;
@@ -214,7 +196,6 @@ impl Simulator<'_> {
                         };
                         if self.unit[uid.index()] != new {
                             progressed = true;
-                            changed = true;
                         }
                         self.unit[uid.index()] = new;
                     }
@@ -243,10 +224,7 @@ impl Simulator<'_> {
                     }
                     if en {
                         let new = UnitState::MemPort { v: take, data: 0 };
-                        if self.unit[uid.index()] != new {
-                            changed = true;
-                            progressed = true;
-                        } else if take {
+                        if take || self.unit[uid.index()] != new {
                             progressed = true;
                         }
                         self.unit[uid.index()] = new;
@@ -255,6 +233,6 @@ impl Simulator<'_> {
             }
             _ => {}
         }
-        Ok((progressed, changed))
+        Ok(progressed)
     }
 }

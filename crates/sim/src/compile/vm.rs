@@ -3,18 +3,17 @@
 //!
 //! Every evaluation/commit function below mirrors the interpreted
 //! semantics in [`crate::eval`] and [`crate::commit`] statement for
-//! statement — the interpreted engines are the specification, this VM is
-//! the fast path. Scheduling differs (bitmask scan instead of a LIFO
-//! worklist; a change-driven commit instead of the event engine's
-//! liveness-driven active sets) but both reach the same unique handshake
-//! fixpoint and commit the same next state, so all observables (run
-//! results, counters, memory images, error variants and their precedence)
-//! are bit-identical.
+//! statement — the full-sweep interpreter is the specification, this VM
+//! is the fast path. Scheduling differs (bitmask scan instead of a LIFO
+//! worklist; a change-driven commit instead of a full sweep) but both
+//! reach the same unique handshake fixpoint and commit the same next
+//! state, so all observables (run results, counters, memory images, error
+//! variants and their precedence) are bit-identical.
 //!
 //! Two structural differences make the VM's clock edge cheaper than the
-//! event engine's:
+//! interpreter's:
 //!
-//! - **Lazy counters.** The interpreted engines increment a channel's
+//! - **Lazy counters.** The interpreter increments a channel's
 //!   transfer/stall counter every cycle it holds a token. The VM instead
 //!   records which handshake *pattern* (idle / stalled / transferring)
 //!   each channel entered and at which cycle, and folds the elapsed span
@@ -29,7 +28,7 @@
 //!   only units evaluated during settle (plus the always-commit set:
 //!   entries, exits and memory ports) are visited at the clock edge. A
 //!   unit or channel whose inputs and state are unchanged commits to the
-//!   same state — a no-op the dense engines pay for every cycle. Bitmask
+//!   same state — a no-op the sweep pays for every cycle. Bitmask
 //!   scans keep the visit order ascending, so memory effects and error
 //!   precedence still match the full-sweep oracle exactly.
 
@@ -562,7 +561,7 @@ impl CompiledSim {
     /// Combinational fixpoint: drains the dirty bitmask (seeded on cycle 0
     /// by everything, afterwards by last commit's state changes) until a
     /// full pass finds no set bit, with the same evaluation budget as the
-    /// interpreted engines.
+    /// interpreter.
     fn settle(&mut self, p: &Program) -> Result<(), SimError> {
         let nu = p.num_units();
         let nc = p.num_channels();
@@ -1111,7 +1110,7 @@ impl CompiledSim {
     /// writes only the unit's *input* readies, skipping the datapath
     /// (`alu`) and every `set_out`. Each arm is the literal ready half
     /// of the matching [`CompiledSim::eval_unit`] arm; keep them in
-    /// lockstep. The three-way engine-equivalence oracle exercises this
+    /// lockstep. The engine-equivalence oracle exercises this
     /// pairing on every kernel and proptest.
     fn eval_unit_ready(&mut self, p: &Program, u: usize) {
         debug_assert!(u < p.instrs.len());

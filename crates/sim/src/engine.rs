@@ -1,100 +1,36 @@
-//! The simulation engine: three scheduling strategies over one shared
-//! semantics.
+//! The public simulator: one semantics, two engines.
 //!
-//! All engines compute the same two-phase cycle — a combinational
-//! handshake fixpoint ([`crate::eval`]) followed by a clock-edge state
-//! commit ([`crate::commit`]) — and differ only in *how* units and
-//! channels are visited:
+//! Both engines compute the same two-phase cycle — a combinational
+//! handshake fixpoint followed by a clock-edge state commit — and are
+//! bit-identical on [`RunStats`], per-channel transfer/stall counters,
+//! memory images, and every error case including precedence:
 //!
-//! * [`SimEngine::FullSweep`] re-queues every unit and re-derives every
-//!   channel at the start of each settle, and commits every channel and
-//!   unit at each edge. It is the original engine, kept as the oracle.
-//! * [`SimEngine::EventDriven`] (the default) keeps a persistent dirty
-//!   set: a settle is seeded only by the channels whose buffer registers
-//!   and the units whose sequential state changed at the previous clock
-//!   edge, and changes propagate along the precomputed adjacency index
-//!   ([`crate::index`]). The commit visits only channels holding a live
-//!   token (`valid_src` or occupied TEHB/OEHB), the units evaluated this
-//!   settle, and a small always-commit set (entry latches, the exit
-//!   observer, and memory ports — see `AdjIndex::always_commit`), in
-//!   ascending unit order so memory effects and error precedence match
-//!   the sweep exactly. Settle and commit cost then scale with circuit
-//!   *activity* instead of circuit *size*.
-//! * [`SimEngine::Compiled`] lowers the graph once into flat bytecode
-//!   ([`crate::compile`]) and executes it with SoA state and dense dirty
-//!   bitmasks — no per-cycle `UnitKind` dispatch or port lookups. The
+//! * [`SimEngine::Compiled`] (the default) lowers the graph once into flat
+//!   bytecode ([`crate::compile`]) and executes it with SoA state and dense
+//!   dirty bitmasks — no per-cycle `UnitKind` dispatch or port lookups. The
 //!   program is `Arc`-shared read-only across slack-trial threads.
+//! * [`SimEngine::FullSweep`] interprets the graph directly, visiting every
+//!   unit and channel every cycle ([`crate::sweep`]). It is the
+//!   specification the compiled engine is checked against.
 //!
-//! The engines are bit-identical on [`RunStats`], per-channel
-//! transfer/stall counters, memory images, and every error case;
-//! `tests/sim_equivalence.rs` pins the three-way identity on randomized
-//! graphs and all evaluation kernels.
+//! `tests/sim_equivalence.rs` pins the identity on randomized graphs and
+//! all evaluation kernels.
 
 use crate::compile::{CompiledSim, Program};
-use crate::index::AdjIndex;
-use crate::state::{ChanSig, ChanState, UnitState};
+use crate::sweep::Sweep;
 use crate::types::{RunStats, SimError};
-use dataflow::{ChannelId, Graph, MemoryId, UnitId, UnitKind};
+use dataflow::{ChannelId, Graph, MemoryId};
 use std::sync::Arc;
 
 /// Scheduling strategy of a [`Simulator`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimEngine {
-    /// Persistent dirty-set interpreter; cost scales with activity.
+    /// One-time bytecode compile, tight decode-loop execution; the path
+    /// every flow runs (profiling, slack trials, measurement).
     #[default]
-    EventDriven,
+    Compiled,
     /// Re-evaluates everything every cycle; the oracle engine.
     FullSweep,
-    /// One-time bytecode compile, tight decode-loop execution; the fast
-    /// path for simulation-heavy passes (slack trials, measurement).
-    Compiled,
-}
-
-/// Initial sequential state for a unit of the given kind.
-fn reset_state(kind: &UnitKind) -> UnitState {
-    match kind {
-        UnitKind::Entry | UnitKind::Argument { .. } => UnitState::Fired(false),
-        UnitKind::Fork { outputs } => UnitState::ForkDone(vec![false; *outputs as usize]),
-        UnitKind::ControlMerge { .. } => UnitState::CmergeState {
-            dones: [false; 2],
-            grant: None,
-        },
-        UnitKind::Operator(op) if op.latency() > 0 => {
-            UnitState::Pipe(vec![(false, 0); op.latency() as usize])
-        }
-        UnitKind::Load { .. } | UnitKind::Store { .. } => UnitState::MemPort { v: false, data: 0 },
-        _ => UnitState::None,
-    }
-}
-
-/// Whether a sequential state has the shape the per-cycle evaluators
-/// expect for `kind`. Checked once at [`Simulator`] construction (see
-/// [`SimError::BadUnit`]) so [`crate::eval`]/[`crate::commit`] never have
-/// to panic on a mismatched state mid-cycle.
-pub(crate) fn state_consistent(kind: &UnitKind, st: &UnitState) -> bool {
-    match (kind, st) {
-        (UnitKind::Entry | UnitKind::Argument { .. }, UnitState::Fired(_)) => true,
-        (UnitKind::Fork { outputs }, UnitState::ForkDone(d)) => d.len() == *outputs as usize,
-        (UnitKind::ControlMerge { .. }, UnitState::CmergeState { .. }) => true,
-        (UnitKind::Operator(op), UnitState::Pipe(stages)) => {
-            op.latency() > 0 && stages.len() == op.latency() as usize
-        }
-        (UnitKind::Operator(op), UnitState::None) => op.latency() == 0,
-        (UnitKind::Load { .. } | UnitKind::Store { .. }, UnitState::MemPort { .. }) => true,
-        (
-            UnitKind::LazyFork { .. }
-            | UnitKind::Join { .. }
-            | UnitKind::Branch
-            | UnitKind::Merge { .. }
-            | UnitKind::Mux { .. }
-            | UnitKind::Constant { .. }
-            | UnitKind::Source
-            | UnitKind::Sink
-            | UnitKind::Exit,
-            UnitState::None,
-        ) => true,
-        _ => false,
-    }
 }
 
 /// A cycle-accurate simulator for one dataflow graph.
@@ -102,47 +38,18 @@ pub(crate) fn state_consistent(kind: &UnitKind, st: &UnitState) -> bool {
 /// See the [crate docs](crate) for an example.
 #[derive(Debug)]
 pub struct Simulator<'g> {
-    g: &'g Graph,
-    engine: SimEngine,
-    /// Present iff `engine == SimEngine::Compiled`; every public accessor
-    /// dispatches to it before touching the interpreted state (which is
-    /// left empty under the compiled engine).
-    vm: Option<CompiledSim>,
-    pub(crate) idx: AdjIndex,
-    pub(crate) args: Vec<u64>,
-    pub(crate) sig: Vec<ChanSig>,
-    pub(crate) chan: Vec<ChanState>,
-    pub(crate) unit: Vec<UnitState>,
-    pub(crate) mems: Vec<Vec<u64>>,
-    pub(crate) transfers: Vec<u64>,
-    pub(crate) stalls: Vec<u64>,
-    cycle: u64,
-    pub(crate) exit_value: Option<u64>,
-    pub(crate) exited: bool,
-    /// Settle worklist: units awaiting (re-)evaluation. Persists across
-    /// cycles under the event-driven engine — commit-time state changes
-    /// mark their unit here for the next settle.
-    dirty_unit: Vec<bool>,
-    unit_queue: Vec<UnitId>,
-    /// Channels whose signals were touched by a unit this settle.
-    pub(crate) touched: Vec<ChannelId>,
-    /// Event engine: units evaluated this settle (committed this cycle).
-    evaled: Vec<bool>,
-    commit_units: Vec<UnitId>,
-    /// Event engine: channels whose buffer state changed at the last
-    /// commit; they seed the next settle.
-    chan_dirty: Vec<bool>,
-    chan_seed: Vec<ChannelId>,
-    /// Event engine: channels holding a live token (valid_src or occupied
-    /// buffer); only these can move counters or buffer state at a commit.
-    chan_active: Vec<bool>,
-    active_chans: Vec<ChannelId>,
-    /// Reusable valid/ready staging buffer for the evaluators.
-    pub(crate) scratch: Vec<bool>,
+    core: Core<'g>,
+}
+
+#[derive(Debug)]
+enum Core<'g> {
+    Compiled(CompiledSim),
+    Sweep(Sweep<'g>),
 }
 
 impl<'g> Simulator<'g> {
-    /// Prepares an event-driven simulator with all state at reset.
+    /// Prepares a simulator on the default ([`SimEngine::Compiled`])
+    /// engine with all state at reset.
     ///
     /// # Errors
     ///
@@ -159,133 +66,59 @@ impl<'g> Simulator<'g> {
     ///
     /// Same conditions as [`Simulator::new`].
     pub fn with_engine(g: &'g Graph, engine: SimEngine) -> Result<Self, SimError> {
-        if engine == SimEngine::Compiled {
-            let prog = Arc::new(Program::compile(g)?);
-            return Ok(Self::from_compiled(g, CompiledSim::new(prog)));
-        }
-        let mut unit = Vec::with_capacity(g.num_units());
-        for (uid, u) in g.units() {
-            let st = reset_state(u.kind());
-            if !state_consistent(u.kind(), &st) {
-                return Err(SimError::BadUnit {
-                    unit: uid,
-                    reason: format!(
-                        "sequential state {st:?} inconsistent with unit kind {}",
-                        u.kind()
-                    ),
-                });
+        Ok(match engine {
+            SimEngine::Compiled => {
+                Self::from_compiled(g, CompiledSim::new(Arc::new(Program::compile(g)?)))
             }
-            unit.push(st);
-        }
-        let mems = g
-            .memories()
-            .map(|(_, m)| {
-                let mut v = m.init().to_vec();
-                v.resize(m.size(), 0);
-                v
-            })
-            .collect();
-        Ok(Simulator {
-            g,
-            engine,
-            vm: None,
-            idx: AdjIndex::try_build(g)?,
-            args: vec![0; 256],
-            sig: vec![ChanSig::default(); g.num_channels()],
-            chan: vec![ChanState::default(); g.num_channels()],
-            unit,
-            mems,
-            transfers: vec![0; g.num_channels()],
-            stalls: vec![0; g.num_channels()],
-            cycle: 0,
-            exit_value: None,
-            exited: false,
-            dirty_unit: vec![false; g.num_units()],
-            unit_queue: Vec::new(),
-            touched: Vec::new(),
-            evaled: vec![false; g.num_units()],
-            commit_units: Vec::new(),
-            chan_dirty: vec![false; g.num_channels()],
-            chan_seed: Vec::new(),
-            chan_active: vec![false; g.num_channels()],
-            active_chans: Vec::new(),
-            scratch: Vec::new(),
+            SimEngine::FullSweep => Simulator {
+                core: Core::Sweep(Sweep::new(g)?),
+            },
         })
     }
 
-    /// Wraps an already-constructed VM (used both by
+    /// Wraps an already-constructed VM for `g` (used both by
     /// [`Simulator::with_engine`] and to reuse an `Arc`-shared program
     /// compiled elsewhere, e.g. once per slack-matching placement).
     pub fn from_compiled(g: &'g Graph, vm: CompiledSim) -> Self {
+        debug_assert_eq!(
+            (vm.program().num_units(), vm.program().num_channels()),
+            (g.num_units(), g.num_channels()),
+            "program compiled from a different graph"
+        );
         Simulator {
-            g,
-            engine: SimEngine::Compiled,
-            vm: Some(vm),
-            idx: AdjIndex::empty(),
-            args: Vec::new(),
-            sig: Vec::new(),
-            chan: Vec::new(),
-            unit: Vec::new(),
-            mems: Vec::new(),
-            transfers: Vec::new(),
-            stalls: Vec::new(),
-            cycle: 0,
-            exit_value: None,
-            exited: false,
-            dirty_unit: Vec::new(),
-            unit_queue: Vec::new(),
-            touched: Vec::new(),
-            evaled: Vec::new(),
-            commit_units: Vec::new(),
-            chan_dirty: Vec::new(),
-            chan_seed: Vec::new(),
-            chan_active: Vec::new(),
-            active_chans: Vec::new(),
-            scratch: Vec::new(),
+            core: Core::Compiled(vm),
         }
     }
 
     /// The scheduling engine this simulator runs under.
     pub fn engine(&self) -> SimEngine {
-        self.engine
-    }
-
-    pub(crate) fn mark_dirty(&mut self, u: UnitId) {
-        if !self.dirty_unit[u.index()] {
-            self.dirty_unit[u.index()] = true;
-            self.unit_queue.push(u);
-        }
-    }
-
-    fn mark_chan_seed(&mut self, cid: ChannelId) {
-        if !self.chan_dirty[cid.index()] {
-            self.chan_dirty[cid.index()] = true;
-            self.chan_seed.push(cid);
+        match &self.core {
+            Core::Compiled(_) => SimEngine::Compiled,
+            Core::Sweep(_) => SimEngine::FullSweep,
         }
     }
 
     /// Sets the value of kernel argument `index` (before running).
     pub fn set_arg(&mut self, index: u8, value: u64) {
-        if let Some(vm) = self.vm.as_mut() {
-            vm.set_arg(index, value);
-        } else {
-            self.args[index as usize] = value;
+        match &mut self.core {
+            Core::Compiled(vm) => vm.set_arg(index, value),
+            Core::Sweep(s) => s.args[index as usize] = value,
         }
     }
 
     /// Reads back a memory after (or during) simulation.
     pub fn memory(&self, id: MemoryId) -> &[u64] {
-        match &self.vm {
-            Some(vm) => vm.memory(id),
-            None => &self.mems[id.index()],
+        match &self.core {
+            Core::Compiled(vm) => vm.memory(id),
+            Core::Sweep(s) => &s.mems[id.index()],
         }
     }
 
     /// Number of tokens transferred over a channel so far (producer side).
     pub fn transfers(&self, ch: ChannelId) -> u64 {
-        match &self.vm {
-            Some(vm) => vm.transfers(ch),
-            None => self.transfers[ch.index()],
+        match &self.core {
+            Core::Compiled(vm) => vm.transfers(ch),
+            Core::Sweep(s) => s.transfers[ch.index()],
         }
     }
 
@@ -293,45 +126,45 @@ impl<'g> Simulator<'g> {
     /// (`valid && !ready` at the producer side) — the backpressure-stall
     /// counter driving slack matching.
     pub fn stalls(&self, ch: ChannelId) -> u64 {
-        match &self.vm {
-            Some(vm) => vm.stalls(ch),
-            None => self.stalls[ch.index()],
+        match &self.core {
+            Core::Compiled(vm) => vm.stalls(ch),
+            Core::Sweep(s) => s.stalls[ch.index()],
         }
     }
 
     /// Elapsed cycles.
     pub fn cycle(&self) -> u64 {
-        match &self.vm {
-            Some(vm) => vm.cycle(),
-            None => self.cycle,
+        match &self.core {
+            Core::Compiled(vm) => vm.cycle(),
+            Core::Sweep(s) => s.cycle,
         }
     }
 
     /// Debug view of a channel's handshake state as of the last settle:
     /// `(valid_src, ready_src, valid_dst, ready_dst)`.
     pub fn channel_state(&self, ch: ChannelId) -> (bool, bool, bool, bool) {
-        match &self.vm {
-            Some(vm) => vm.channel_state(ch),
-            None => {
-                let s = self.sig[ch.index()];
-                (s.valid_src, s.ready_src, s.valid_dst, s.ready_dst)
+        match &self.core {
+            Core::Compiled(vm) => vm.channel_state(ch),
+            Core::Sweep(s) => {
+                let c = s.sig[ch.index()];
+                (c.valid_src, c.ready_src, c.valid_dst, c.ready_dst)
             }
         }
     }
 
     /// The data payload currently presented by the producer of `ch`.
     pub fn channel_data(&self, ch: ChannelId) -> u64 {
-        match &self.vm {
-            Some(vm) => vm.channel_data(ch),
-            None => self.sig[ch.index()].data_src,
+        match &self.core {
+            Core::Compiled(vm) => vm.channel_data(ch),
+            Core::Sweep(s) => s.sig[ch.index()].data_src,
         }
     }
 
     /// `true` once the exit token has been consumed.
     pub fn exited(&self) -> bool {
-        match &self.vm {
-            Some(vm) => vm.exited(),
-            None => self.exited,
+        match &self.core {
+            Core::Compiled(vm) => vm.exited(),
+            Core::Sweep(s) => s.exited,
         }
     }
 
@@ -341,7 +174,7 @@ impl<'g> Simulator<'g> {
     /// exactly `max_cycles` cycles completes — [`SimError::Timeout`] is
     /// returned only when the budget is exhausted *and* the exit token has
     /// still not been consumed (`tests/sim_equivalence.rs` pins this
-    /// boundary on all three engines).
+    /// boundary on both engines).
     ///
     /// # Errors
     ///
@@ -349,19 +182,10 @@ impl<'g> Simulator<'g> {
     /// the circuit stops making progress, [`SimError::NoFixpoint`] for
     /// unbuffered cycles, or [`SimError::AddrOutOfBounds`].
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        if let Some(vm) = self.vm.as_mut() {
-            return vm.run(max_cycles);
+        match &mut self.core {
+            Core::Compiled(vm) => vm.run(max_cycles),
+            Core::Sweep(s) => s.run(max_cycles),
         }
-        while !self.exited {
-            if self.cycle >= max_cycles {
-                return Err(SimError::Timeout { max_cycles });
-            }
-            self.step()?;
-        }
-        Ok(RunStats {
-            cycles: self.cycle,
-            exit_value: self.exit_value,
-        })
     }
 
     /// Executes one clock cycle (combinational fixpoint + state commit).
@@ -370,259 +194,9 @@ impl<'g> Simulator<'g> {
     ///
     /// Same conditions as [`Simulator::run`], except timeouts.
     pub fn step(&mut self) -> Result<(), SimError> {
-        if let Some(vm) = self.vm.as_mut() {
-            return vm.step();
+        match &mut self.core {
+            Core::Compiled(vm) => vm.step(),
+            Core::Sweep(s) => s.step(),
         }
-        let progressed = match self.engine {
-            SimEngine::EventDriven | SimEngine::Compiled => {
-                self.settle_event()?;
-                self.commit_event()?
-            }
-            SimEngine::FullSweep => {
-                self.settle_sweep()?;
-                self.commit_sweep()?
-            }
-        };
-        self.cycle += 1;
-        if !progressed && !self.exited {
-            return Err(SimError::Deadlock { cycle: self.cycle });
-        }
-        Ok(())
-    }
-
-    /// Per-settle evaluation cap: a worklist that outlives this is cycling.
-    fn fixpoint_limit(&self) -> usize {
-        64 * (self.g.num_units() + self.g.num_channels()) + 64
-    }
-
-    /// Sweep settle: every register commit may change any unit's view, so
-    /// each cycle starts with all units queued and all channels rederived;
-    /// after that, only changes propagate.
-    fn settle_sweep(&mut self) -> Result<(), SimError> {
-        let g = self.g;
-        for (uid, _) in g.units() {
-            self.mark_dirty(uid);
-        }
-        for (cid, _) in g.channels() {
-            if self.eval_channel(cid) {
-                let (s, d) = self.idx.ends[cid.index()];
-                self.mark_dirty(s);
-                self.mark_dirty(d);
-            }
-        }
-        let limit = self.fixpoint_limit();
-        let mut evals = 0usize;
-        while let Some(u) = self.unit_queue.pop() {
-            self.dirty_unit[u.index()] = false;
-            evals += 1;
-            if evals > limit {
-                return Err(SimError::NoFixpoint);
-            }
-            self.touched.clear();
-            if !self.eval_unit(u) {
-                continue;
-            }
-            let touched = std::mem::take(&mut self.touched);
-            for &cid in &touched {
-                // Endpoints are re-queued even without a derived-signal
-                // change: the raw src-side signal may feed transfer logic
-                // of the counterpart. (The event engine instead tracks the
-                // raw signals through the commit-active channel set.)
-                self.eval_channel(cid);
-                let (s, d) = self.idx.ends[cid.index()];
-                self.mark_dirty(s);
-                self.mark_dirty(d);
-            }
-            self.touched = touched;
-        }
-        Ok(())
-    }
-
-    /// Sweep commit: visits every channel and every unit, ascending.
-    fn commit_sweep(&mut self) -> Result<bool, SimError> {
-        let g = self.g;
-        let mut progressed = false;
-        for (cid, _) in g.channels() {
-            let (p, _) = self.commit_channel(cid);
-            progressed |= p;
-        }
-        for (uid, _) in g.units() {
-            let (p, _) = self.commit_unit(uid)?;
-            progressed |= p;
-        }
-        Ok(progressed)
-    }
-
-    /// Event-driven settle: seeded by the channels/units whose sequential
-    /// state changed at the previous clock edge (cycle 0 seeds everything,
-    /// exactly like the sweep).
-    fn settle_event(&mut self) -> Result<(), SimError> {
-        if self.cycle == 0 {
-            let g = self.g;
-            for (uid, _) in g.units() {
-                self.mark_dirty(uid);
-            }
-            for (cid, _) in g.channels() {
-                if self.eval_channel(cid) {
-                    let (s, d) = self.idx.ends[cid.index()];
-                    self.mark_dirty(s);
-                    self.mark_dirty(d);
-                }
-            }
-        } else {
-            let mut seeds = std::mem::take(&mut self.chan_seed);
-            for &cid in &seeds {
-                self.chan_dirty[cid.index()] = false;
-                if self.eval_channel(cid) {
-                    let (s, d) = self.idx.ends[cid.index()];
-                    self.mark_dirty(s);
-                    self.mark_dirty(d);
-                }
-            }
-            seeds.clear();
-            self.chan_seed = seeds;
-        }
-        let limit = self.fixpoint_limit();
-        let mut evals = 0usize;
-        while let Some(u) = self.unit_queue.pop() {
-            self.dirty_unit[u.index()] = false;
-            evals += 1;
-            if evals > limit {
-                return Err(SimError::NoFixpoint);
-            }
-            if !self.evaled[u.index()] {
-                self.evaled[u.index()] = true;
-                self.commit_units.push(u);
-            }
-            self.touched.clear();
-            if !self.eval_unit(u) {
-                continue;
-            }
-            let touched = std::mem::take(&mut self.touched);
-            for &cid in &touched {
-                // A channel joins the commit-active set the moment its
-                // producer offers a token; it leaves at a commit that finds
-                // it idle and empty.
-                if self.sig[cid.index()].valid_src && !self.chan_active[cid.index()] {
-                    self.chan_active[cid.index()] = true;
-                    self.active_chans.push(cid);
-                }
-                if self.eval_channel(cid) {
-                    let (s, d) = self.idx.ends[cid.index()];
-                    self.mark_dirty(s);
-                    self.mark_dirty(d);
-                }
-            }
-            self.touched = touched;
-        }
-        Ok(())
-    }
-
-    /// Event-driven commit: visits the live channels and the settle's
-    /// evaluated units plus the always-commit set, in ascending unit order
-    /// (memory effects and error precedence must match the sweep).
-    fn commit_event(&mut self) -> Result<bool, SimError> {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < self.active_chans.len() {
-            let cid = self.active_chans[i];
-            let (p, state_changed) = self.commit_channel(cid);
-            progressed |= p;
-            if state_changed {
-                self.mark_chan_seed(cid);
-            }
-            let s = self.sig[cid.index()];
-            let st = self.chan[cid.index()];
-            if s.valid_src || st.tehb_full || st.oehb_vld {
-                i += 1;
-            } else {
-                self.chan_active[cid.index()] = false;
-                self.active_chans.swap_remove(i);
-            }
-        }
-        let mut list = std::mem::take(&mut self.commit_units);
-        for i in 0..self.idx.always_commit.len() {
-            let u = self.idx.always_commit[i];
-            if !self.evaled[u.index()] {
-                list.push(u);
-            }
-        }
-        list.sort_unstable_by_key(|u| u.index());
-        for &u in &list {
-            self.evaled[u.index()] = false;
-        }
-        for &u in &list {
-            let (p, changed) = self.commit_unit(u)?;
-            progressed |= p;
-            if changed {
-                self.mark_dirty(u);
-            }
-        }
-        list.clear();
-        self.commit_units = list;
-        Ok(progressed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dataflow::OpKind;
-
-    #[test]
-    fn reset_states_are_consistent_for_every_kind() {
-        let kinds = [
-            UnitKind::Entry,
-            UnitKind::Argument { index: 3 },
-            UnitKind::Exit,
-            UnitKind::Sink,
-            UnitKind::Source,
-            UnitKind::Constant { value: 7 },
-            UnitKind::Fork { outputs: 3 },
-            UnitKind::LazyFork { outputs: 2 },
-            UnitKind::Join { inputs: 2 },
-            UnitKind::Branch,
-            UnitKind::Merge { inputs: 2 },
-            UnitKind::ControlMerge { inputs: 2 },
-            UnitKind::Mux { inputs: 2 },
-            UnitKind::Operator(OpKind::Add),
-            UnitKind::Operator(OpKind::Mul),
-        ];
-        for k in kinds {
-            assert!(
-                state_consistent(&k, &reset_state(&k)),
-                "reset state for {k} rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_latency_operator_with_pipe_state_is_inconsistent() {
-        // The exact corruption eval.rs/commit.rs used to panic on
-        // ("nonempty pipe" / unreachable!): a combinational operator
-        // carrying pipeline registers.
-        let kind = UnitKind::Operator(OpKind::Add);
-        assert!(!state_consistent(&kind, &UnitState::Pipe(vec![(false, 0)])));
-        // ... and the dual: a pipelined operator with the wrong depth.
-        let mul = UnitKind::Operator(OpKind::Mul);
-        assert!(!state_consistent(&mul, &UnitState::Pipe(Vec::new())));
-        assert!(!state_consistent(&mul, &UnitState::None));
-        assert!(state_consistent(
-            &mul,
-            &UnitState::Pipe(vec![(false, 0); OpKind::Mul.latency() as usize])
-        ));
-    }
-
-    #[test]
-    fn mismatched_shapes_are_inconsistent() {
-        assert!(!state_consistent(
-            &UnitKind::Fork { outputs: 3 },
-            &UnitState::ForkDone(vec![false; 2])
-        ));
-        assert!(!state_consistent(&UnitKind::Entry, &UnitState::None));
-        assert!(!state_consistent(
-            &UnitKind::Branch,
-            &UnitState::Fired(false)
-        ));
     }
 }

@@ -1,17 +1,18 @@
 //! Combinational evaluation: the per-unit handshake functions and the
-//! per-channel buffer-stage derivation shared by both schedulers.
+//! per-channel buffer-stage derivation of the full-sweep interpreter.
 //!
 //! Everything here is a pure function of the signal vector and the
-//! committed sequential state; the schedulers in [`crate::engine`] decide
-//! *which* units and channels get (re-)evaluated, so bit-identity between
-//! the engines reduces to both reaching the same unique fixpoint.
+//! committed sequential state; the sweep scheduler in [`crate::sweep`]
+//! decides *which* units and channels get (re-)evaluated, and the compiled
+//! engine mirrors these functions statement for statement, so bit-identity
+//! between the engines reduces to both reaching the same unique fixpoint.
 
-use crate::engine::Simulator;
 use crate::state::UnitState;
+use crate::sweep::Sweep;
 use crate::types::{mask, to_signed};
 use dataflow::{ChannelId, OpKind, UnitId, UnitKind};
 
-impl Simulator<'_> {
+impl Sweep<'_> {
     /// Re-derives a channel's dst-side (and ready_src) signals from the
     /// src-side signals and buffer state. Returns `true` if anything
     /// changed.

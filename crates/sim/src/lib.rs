@@ -12,14 +12,13 @@
 //! ready backward) to a fixpoint, then (2) commits all sequential state
 //! (buffer slots, fork done flags, operator pipelines, memory ports).
 //!
-//! Three scheduling engines share those semantics (see [`SimEngine`]): the
-//! default event-driven scheduler, whose per-cycle cost scales with circuit
-//! activity; the original full-sweep engine kept as a bit-identical oracle;
-//! and a compiled bytecode engine ([`SimEngine::Compiled`], see
-//! [`compile`]) that lowers the graph once and executes a tight decode
-//! loop — the fast path for simulation-heavy passes like slack-matching
-//! trials, where one [`Program`] is compiled per placement and shared
-//! read-only across trial threads.
+//! Two engines share those semantics (see [`SimEngine`]): the default
+//! compiled bytecode engine ([`SimEngine::Compiled`], see [`compile`]),
+//! which lowers the graph once and executes a tight decode loop — one
+//! [`Program`] is compiled per placement and shared read-only across
+//! slack-trial threads — and the full-sweep interpreter
+//! ([`SimEngine::FullSweep`]), which visits every unit and channel every
+//! cycle and is kept as the bit-identical oracle.
 //!
 //! # Example
 //!
@@ -50,6 +49,7 @@ mod engine;
 mod eval;
 mod index;
 mod state;
+mod sweep;
 mod types;
 mod vcd;
 

@@ -1,6 +1,5 @@
-//! Engine-equivalence suite for the simulator: the event-driven scheduler
-//! ([`sim::SimEngine::EventDriven`], the default) and the compiled bytecode
-//! engine ([`sim::SimEngine::Compiled`]) must both agree *bit for bit* with
+//! Engine-equivalence suite for the simulator: the compiled bytecode engine
+//! ([`sim::SimEngine::Compiled`], the default) must agree *bit for bit* with
 //! the full-sweep oracle ([`sim::SimEngine::FullSweep`]) — same cycles, exit
 //! values, per-channel transfer/stall counters, memory contents, and error
 //! cases — on randomized DFGs and on all nine evaluation kernels. The
@@ -13,11 +12,7 @@ use frequenz::hls::kernels;
 use frequenz::sim::{RunStats, SimEngine, SimError, Simulator};
 use proptest::prelude::*;
 
-const ENGINES: [SimEngine; 3] = [
-    SimEngine::FullSweep,
-    SimEngine::EventDriven,
-    SimEngine::Compiled,
-];
+const ENGINES: [SimEngine; 2] = [SimEngine::FullSweep, SimEngine::Compiled];
 
 /// Everything externally observable about one finished (or failed) run.
 type Fingerprint = (
@@ -43,14 +38,12 @@ fn fingerprint(g: &Graph, engine: SimEngine, args: &[u64], budget: u64) -> Finge
     )
 }
 
-/// Runs all three engines and asserts pairwise bit-identity against the
+/// Runs both engines and asserts the compiled one is bit-identical to the
 /// full-sweep oracle; returns the oracle fingerprint for further checks.
 fn assert_engines_identical(g: &Graph, args: &[u64], budget: u64, label: &str) -> Fingerprint {
     let sweep = fingerprint(g, SimEngine::FullSweep, args, budget);
-    for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
-        let got = fingerprint(g, engine, args, budget);
-        assert_eq!(got, sweep, "{label}: {engine:?} diverged from FullSweep");
-    }
+    let compiled = fingerprint(g, SimEngine::Compiled, args, budget);
+    assert_eq!(compiled, sweep, "{label}: Compiled diverged from FullSweep");
     sweep
 }
 
@@ -121,7 +114,7 @@ fn sim_chain(ops: &[u8], bufs: &[u16]) -> Graph {
 
 /// `gsum(n)` with extra buffers on arbitrary channels: loops, merges,
 /// branches, and memory ports under randomized backpressure. Whatever the
-/// outcome — completion, deadlock, timeout — all engines must agree.
+/// outcome — completion, deadlock, timeout — both engines must agree.
 fn buffered_gsum(n: usize, bufs: &[u16]) -> Graph {
     let k = kernels::gsum(n);
     let mut g = k.seeded_graph();
@@ -142,7 +135,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random pipelined chains with random buffers and random argument
-    /// vectors: bit-identical runs across all three engines.
+    /// vectors: bit-identical runs on both engines.
     #[test]
     fn engines_agree_on_random_dfgs(
         ops in prop::collection::vec(any::<u8>(), 1..12),
@@ -151,10 +144,8 @@ proptest! {
     ) {
         let g = sim_chain(&ops, &bufs);
         let sweep = fingerprint(&g, SimEngine::FullSweep, &args, 10_000);
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
-            let got = fingerprint(&g, engine, &args, 10_000);
-            prop_assert_eq!(&got, &sweep, "{:?} diverged", engine);
-        }
+        let compiled = fingerprint(&g, SimEngine::Compiled, &args, 10_000);
+        prop_assert_eq!(&compiled, &sweep, "Compiled diverged");
     }
 
     /// Random loop graphs (gsum + arbitrary extra buffers): bit-identical
@@ -166,10 +157,8 @@ proptest! {
     ) {
         let g = buffered_gsum(n, &bufs);
         let sweep = fingerprint(&g, SimEngine::FullSweep, &[], 50_000);
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
-            let got = fingerprint(&g, engine, &[], 50_000);
-            prop_assert_eq!(&got, &sweep, "{:?} diverged", engine);
-        }
+        let compiled = fingerprint(&g, SimEngine::Compiled, &[], 50_000);
+        prop_assert_eq!(&compiled, &sweep, "Compiled diverged");
     }
 }
 
@@ -202,7 +191,7 @@ fn engines_agree_on_unseeded_kernel_failures() {
     }
 }
 
-/// A data cycle through two adders never settles: all engines must call
+/// A data cycle through two adders never settles: both engines must call
 /// it [`SimError::NoFixpoint`] on the same cycle.
 #[test]
 fn no_fixpoint_is_engine_invariant() {
@@ -229,7 +218,7 @@ fn no_fixpoint_is_engine_invariant() {
     assert_eq!(sweep.0, Err(SimError::NoFixpoint));
 }
 
-/// An out-of-range load faults identically under all engines.
+/// An out-of-range load faults identically under both engines.
 #[test]
 fn addr_out_of_bounds_is_engine_invariant() {
     let mut g = Graph::new("oob");
@@ -305,6 +294,22 @@ fn run_budget_boundary_is_exact() {
     }
 }
 
+/// The flows, the bench harness and every caller of [`Simulator::new`]
+/// run the compiled engine; the sweep is only ever chosen explicitly.
+#[test]
+fn compiled_is_the_default_engine() {
+    assert_eq!(SimEngine::default(), SimEngine::Compiled);
+    let k = kernels::gsum(4);
+    let g = k.seeded_graph();
+    assert_eq!(Simulator::new(&g).unwrap().engine(), SimEngine::Compiled);
+    assert_eq!(
+        Simulator::with_engine(&g, SimEngine::FullSweep)
+            .unwrap()
+            .engine(),
+        SimEngine::FullSweep
+    );
+}
+
 /// Feeding an unvalidated graph (dangling ports) must yield a structured
 /// [`SimError::UnconnectedPort`] from every engine's constructor — never a
 /// panic.
@@ -334,12 +339,12 @@ fn unvalidated_graph_is_rejected_with_structured_error() {
 
 /// The parallel slack-matching pass picks the same buffers at any job
 /// count: trials are evaluated concurrently but applied in fixed candidate
-/// order. Also sweeps both simulation engines usable inside the pass.
+/// order. Also sweeps both simulation engines.
 #[test]
 fn slack_matching_jobs_sweep_is_bit_identical() {
     for k in kernels::all_kernels_small() {
         let seed: Vec<_> = k.back_edges().to_vec();
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
+        for engine in ENGINES {
             let reference = slack_match(
                 k.graph(),
                 &seed,
@@ -380,7 +385,7 @@ fn slack_matching_engines_agree() {
     for k in kernels::all_kernels_small() {
         let seed: Vec<_> = k.back_edges().to_vec();
         let mut picks = Vec::new();
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
+        for engine in ENGINES {
             let opts = SlackOptions {
                 sim_budget: k.max_cycles * 4,
                 jobs: 2,

@@ -166,7 +166,7 @@ fn test_opts(jobs: usize) -> FlowOptions {
 
 /// The deterministic (jobs-invariant) counters of a trace. `synth_jobs`
 /// is deliberately absent: it records the configured pool width.
-fn counters(t: &FlowTrace) -> [u64; 10] {
+fn counters(t: &FlowTrace) -> [u64; 8] {
     [
         t.cache_hits,
         t.cache_misses,
@@ -174,8 +174,6 @@ fn counters(t: &FlowTrace) -> [u64; 10] {
         t.labels_computed,
         t.incr_synths,
         t.full_synths,
-        t.dirty_bbs,
-        t.clean_bbs,
         t.par_unit_tasks,
         t.par_pack_tasks,
     ]
