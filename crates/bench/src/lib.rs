@@ -352,11 +352,12 @@ pub fn run_table1_jobs(
     // MILP solver breakdown of the iterative flow: sparse revised simplex
     // work (pivots, refactorizations), branch-and-bound nodes (explored vs
     // pruned by bound), rows removed by model canonicalization, root
-    // strengthening (cuts, presolve bound tightenings), and cross-iteration
-    // warm-start adoptions.
+    // strengthening (cuts, presolve bound tightenings), cross-iteration
+    // warm-start adoptions, and — for both flows — the solves that ended
+    // on an unproven incumbent out of all solves.
     println!();
     println!(
-        "{:<15} | {:>8} {:>9} {:>6} {:>8} | {:>8} | {:>5} {:>6} {:>7} {:>8}",
+        "{:<15} | {:>8} {:>9} {:>6} {:>8} | {:>8} | {:>5} {:>6} {:>7} {:>8} | {:>8} {:>8}",
         "Benchmark",
         "milp(s)",
         "pivots",
@@ -366,12 +367,14 @@ pub fn run_table1_jobs(
         "cuts",
         "pruned",
         "tighten",
-        "warmH/M"
+        "warmH/M",
+        "trunc(P)",
+        "trunc(I)"
     );
     for c in &rows {
         let t = &c.iter_trace;
         println!(
-            "{:<15} | {:>8.2} {:>9} {:>6} {:>8} | {:>8} | {:>5} {:>6} {:>7} {:>8}",
+            "{:<15} | {:>8.2} {:>9} {:>6} {:>8} | {:>8} | {:>5} {:>6} {:>7} {:>8} | {:>8} {:>8}",
             c.name,
             t.milp.as_secs_f64(),
             t.milp_pivots,
@@ -382,6 +385,8 @@ pub fn run_table1_jobs(
             t.milp_nodes_pruned,
             t.milp_bounds_tightened,
             format!("{}/{}", t.milp_warm_hits, t.milp_warm_misses),
+            truncated_of_solves(&c.prev_trace),
+            truncated_of_solves(t),
         );
     }
     // Synthesis-lane breakdown: worker-pool width and the deterministic
@@ -442,6 +447,17 @@ pub fn run_table1_jobs(
     Ok(rows)
 }
 
+/// `truncated/solves` of a flow's placement MILPs; node-limit fallbacks to
+/// LP rounding, when any, are appended as `+Nfb`.
+fn truncated_of_solves(t: &FlowTrace) -> String {
+    let fallbacks = if t.milp_fallbacks == 0 {
+        String::new()
+    } else {
+        format!("+{}fb", t.milp_fallbacks)
+    };
+    format!("{}{fallbacks}/{}", t.milp_truncated, t.milp_solves)
+}
+
 /// Renders the comparisons as a JSON document (hand-rolled — the build is
 /// offline, so no serde): per-kernel wall clock, cache statistics and the
 /// Table I metrics. Suitable for `BENCH_table1.json`.
@@ -464,7 +480,9 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
              \"milp_refactors\": {}, \"milp_rows_dropped\": {}, \
              \"milp_cuts\": {}, \"milp_cut_rounds\": {}, \"milp_nodes_pruned\": {}, \
              \"milp_bounds_tightened\": {}, \"milp_warm_hits\": {}, \
-             \"milp_warm_misses\": {}, \
+             \"milp_warm_misses\": {}, \"milp_solves\": {}, \"milp_truncated\": {}, \
+             \"milp_fallbacks\": {}, \"prev_milp_solves\": {}, \"prev_milp_truncated\": {}, \
+             \"prev_milp_fallbacks\": {}, \
              \"sim_s\": {:.3}, \"sim_runs\": {}, \"sim_cycles\": {}, \
              \"slack_trials\": {}, \"slack_trials_pruned\": {}, \
              \"synth_jobs\": {}, \"par_unit_tasks\": {}, \"par_pack_tasks\": {}, \
@@ -502,6 +520,12 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
             t.milp_bounds_tightened,
             t.milp_warm_hits,
             t.milp_warm_misses,
+            t.milp_solves,
+            t.milp_truncated,
+            t.milp_fallbacks,
+            c.prev_trace.milp_solves,
+            c.prev_trace.milp_truncated,
+            c.prev_trace.milp_fallbacks,
             (c.prev_trace.sim + t.sim).as_secs_f64(),
             c.prev_trace.sim_runs + t.sim_runs,
             c.prev_trace.sim_cycles + t.sim_cycles,
@@ -595,6 +619,9 @@ mod tests {
             milp_bounds_tightened: 44,
             milp_warm_hits: 2,
             milp_warm_misses: 3,
+            milp_solves: 9,
+            milp_truncated: 1,
+            milp_fallbacks: 2,
             sim_runs: 11,
             sim_cycles: 4242,
             slack_trials: 30,
@@ -610,7 +637,12 @@ mod tests {
             iter: report,
             iter_iterations: 2,
             iter_converged: true,
-            prev_trace: FlowTrace::default(),
+            prev_trace: FlowTrace {
+                milp_solves: 8,
+                milp_truncated: 5,
+                milp_fallbacks: 3,
+                ..FlowTrace::default()
+            },
             iter_trace,
             cache_hits: 5,
             cache_misses: 4,
@@ -638,6 +670,12 @@ mod tests {
         assert!(j.contains("\"milp_bounds_tightened\": 44"));
         assert!(j.contains("\"milp_warm_hits\": 2"));
         assert!(j.contains("\"milp_warm_misses\": 3"));
+        assert!(j.contains("\"milp_solves\": 9"));
+        assert!(j.contains("\"milp_truncated\": 1"));
+        assert!(j.contains("\"milp_fallbacks\": 2"));
+        assert!(j.contains("\"prev_milp_solves\": 8"));
+        assert!(j.contains("\"prev_milp_truncated\": 5"));
+        assert!(j.contains("\"prev_milp_fallbacks\": 3"));
         assert!(j.contains("\"sim_runs\": 11"));
         assert!(j.contains("\"sim_cycles\": 4242"));
         assert!(j.contains("\"slack_trials\": 30"));

@@ -216,11 +216,7 @@ pub fn optimize_baseline_with_cache(
         objective: opts.objective,
     };
     let placement = timed(&mut trace.milp, || place_buffers(&problem))?;
-    trace.cut_rounds += placement.cut_rounds;
-    trace.milp_pivots += placement.milp_pivots;
-    trace.milp_refactors += placement.milp_refactors;
-    trace.milp_nodes += placement.milp_nodes;
-    trace.milp_rows_dropped += placement.milp_rows_dropped;
+    trace.record_placement(&placement);
     let mut buffers = placement.buffers.clone();
     if opts.slack_matching {
         let achieved0 = timed(&mut trace.synth, || {
@@ -312,6 +308,36 @@ mod tests {
             prev.buffers.len(),
             iter.buffers.len()
         );
+    }
+
+    #[test]
+    fn truncated_and_fallback_solves_are_counted_on_every_kernel() {
+        // The placement counters do not depend on slack matching, which
+        // runs after the MILP.
+        let opts = FlowOptions {
+            slack_matching: false,
+            ..FlowOptions::default()
+        };
+        for k in kernels::all_kernels() {
+            let prev = optimize_baseline(k.graph(), k.back_edges(), &opts).unwrap();
+            let iter = crate::optimize_iterative(k.graph(), k.back_edges(), &opts).unwrap();
+            for (flow, t) in [("prev", &prev.trace), ("iter", &iter.trace)] {
+                assert!(t.milp_solves >= 1, "{} {flow}: no solve counted", k.name);
+                assert!(
+                    t.milp_truncated + t.milp_fallbacks <= t.milp_solves,
+                    "{} {flow}: {} truncated + {} fallbacks > {} solves",
+                    k.name,
+                    t.milp_truncated,
+                    t.milp_fallbacks,
+                    t.milp_solves
+                );
+            }
+            // Every baseline solve on insertion_sort exhausts its budget:
+            // the cold tree is too large for the pivot limit.
+            if k.name == "insertion_sort" {
+                assert!(prev.trace.milp_truncated > 0, "baseline never truncated");
+            }
+        }
     }
 
     #[test]

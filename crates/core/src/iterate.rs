@@ -376,17 +376,7 @@ pub fn optimize_iterative_with_cache(
         let placement = timed(&mut trace.milp, || {
             place_buffers_warm(&problem, warm_store.as_ref())
         })?;
-        trace.cut_rounds += placement.cut_rounds;
-        trace.milp_pivots += placement.milp_pivots;
-        trace.milp_refactors += placement.milp_refactors;
-        trace.milp_nodes += placement.milp_nodes;
-        trace.milp_rows_dropped += placement.milp_rows_dropped;
-        trace.milp_cuts += placement.milp_cuts;
-        trace.milp_cut_rounds += placement.milp_cut_rounds;
-        trace.milp_nodes_pruned += placement.milp_nodes_pruned;
-        trace.milp_bounds_tightened += placement.milp_bounds_tightened;
-        trace.milp_warm_hits += placement.milp_warm_hits;
-        trace.milp_warm_misses += placement.milp_warm_misses;
+        trace.record_placement(&placement);
 
         // Re-synthesize with the proposed buffers; check the real levels.
         // The circuit just synthesized is the natural basis: the proposal

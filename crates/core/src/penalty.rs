@@ -10,15 +10,24 @@
 
 use crate::timing::TimingGraph;
 use dataflow::collections::HashMap;
-use dataflow::{ChannelId, Graph};
+use dataflow::{ChannelId, Graph, UnitId};
 
 /// Computes the per-channel penalties from a timing model.
 ///
 /// Channels whose source unit has no delay nodes at all (fully optimized
 /// away) get penalty 0 — there is no logic left to disrupt.
 pub fn compute_penalties(g: &Graph, timing: &TimingGraph) -> HashMap<ChannelId, f64> {
+    penalties_from(g, timing, &timing.fake_nodes_touching())
+}
+
+/// Eq. 2 over precomputed `X_fake` counts (`fake_touch`, keyed by source
+/// unit and channel).
+fn penalties_from(
+    g: &Graph,
+    timing: &TimingGraph,
+    fake_touch: &HashMap<(UnitId, ChannelId), usize>,
+) -> HashMap<ChannelId, f64> {
     let unit_counts = timing.unit_node_counts();
-    let fake_touch = timing.fake_nodes_touching();
     let mut penalties = HashMap::default();
     for (cid, ch) in g.channels() {
         let src = ch.src().unit;
@@ -41,6 +50,52 @@ mod tests {
     use crate::lutdfg::map_lut_edges;
     use crate::synth::synthesize;
     use dataflow::{OpKind, PortRef, UnitKind};
+
+    /// Asserts the linear `X_fake` counts and the penalties built on them
+    /// match the quadratic oracle bit for bit.
+    fn assert_matches_oracle(g: &Graph, timing: &TimingGraph, what: &str) {
+        let oracle = timing.fake_nodes_touching_reference();
+        assert_eq!(timing.fake_nodes_touching(), oracle, "{what}: X_fake");
+        let got = compute_penalties(g, timing);
+        let want = penalties_from(g, timing, &oracle);
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (cid, p) in &want {
+            assert_eq!(got[cid].to_bits(), p.to_bits(), "{what}: penalty of {cid}");
+        }
+    }
+
+    #[test]
+    fn linear_fake_touch_matches_the_quadratic_oracle_on_all_kernels() {
+        use crate::iterate::apply_buffers;
+        use crate::place::{place_buffers, PlacementProblem};
+        for k in hls::kernels::all_kernels() {
+            let base = k.graph();
+            // The first iteration's model: the seeded circuit.
+            let synth = synthesize(&k.seeded_graph(), 6).unwrap();
+            let timing = TimingGraph::build(base, &synth, &map_lut_edges(base, &synth));
+            assert_matches_oracle(base, &timing, &format!("{} seeded", k.name));
+
+            // The next model: the circuit with a placement's buffers
+            // applied (CFDFCs left out: only the buffers matter here).
+            let penalties = compute_penalties(base, &timing);
+            let problem = PlacementProblem {
+                graph: base,
+                timing: &timing,
+                penalties: &penalties,
+                cfdfcs: &[],
+                target_levels: 6,
+                fixed: k.back_edges(),
+                alpha: 1.0,
+                beta: 0.01,
+                max_cut_rounds: 16,
+                objective: Default::default(),
+            };
+            let placed = place_buffers(&problem).unwrap();
+            let synth = synthesize(&apply_buffers(base, &placed.buffers), 6).unwrap();
+            let timing = TimingGraph::build(base, &synth, &map_lut_edges(base, &synth));
+            assert_matches_oracle(base, &timing, &format!("{} placed", k.name));
+        }
+    }
 
     /// The scenario of Figure 2.d on the unambiguous chain
     /// `add0 → shl → add2`: the shifter is pure wiring, so it synthesizes

@@ -71,7 +71,7 @@ pub struct PlacementProblem<'a> {
 }
 
 /// The outcome of a placement solve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlacementResult {
     /// All channels that must carry a buffer (fixed ∪ newly placed).
     pub buffers: Vec<ChannelId>,
@@ -110,6 +110,14 @@ pub struct PlacementResult {
     /// the store had no entry yet, or the remapped entry failed the
     /// solver's revalidation. Zero when no store was supplied.
     pub milp_warm_misses: u64,
+    /// MILP solves started (one per lazy cut round).
+    pub milp_solves: u64,
+    /// Solves whose branch and bound hit its node or pivot budget and
+    /// returned an unproven incumbent.
+    pub milp_truncated: u64,
+    /// Solves that found no incumbent within the node limit and fell back
+    /// to rounding the LP relaxation up.
+    pub milp_fallbacks: u64,
 }
 
 /// Placement failures.
@@ -356,22 +364,6 @@ pub fn place_buffers(p: &PlacementProblem<'_>) -> Result<PlacementResult, PlaceE
     place_buffers_warm(p, None)
 }
 
-/// [`place_buffers`] with an optional cross-solve warm-start store.
-///
-/// When `store` is given, each MILP solve looks up the previous solve of
-/// the same *problem* ([`warm_key`] — the iteration-stable identity of the
-/// kernel, not the churning model shape), remaps its root basis and
-/// incumbent onto the current model by variable name
-/// ([`milp::WarmStart::remap_to`]), and starts from them; afterwards it
-/// records its own. The Fig.-4 loop passes one store across all
-/// iterations, so iteration *i+1*'s placement solve warm-starts from
-/// iteration *i*'s (and lazy cut rounds within one call warm-start from
-/// each other). Warm starts are revalidated by the solver and never
-/// change the returned placement — only the work spent finding it.
-///
-/// # Errors
-///
-/// Same as [`place_buffers`].
 /// Key for the cross-iteration warm-start store: an FNV-1a fingerprint of
 /// the *iteration-stable* identity of the placement problem. The Fig.-4
 /// loop re-solves the same kernel with drifting penalties, fixed sets,
@@ -411,6 +403,22 @@ fn warm_key(p: &PlacementProblem<'_>) -> u64 {
     h
 }
 
+/// [`place_buffers`] with an optional cross-solve warm-start store.
+///
+/// When `store` is given, each MILP solve looks up the previous solve of
+/// the same *problem* (`warm_key` — the iteration-stable identity of the
+/// kernel, not the churning model shape), remaps its root basis and
+/// incumbent onto the current model by variable name
+/// ([`milp::WarmStart::remap_to`]), and starts from them; afterwards it
+/// records its own. The Fig.-4 loop passes one store across all
+/// iterations, so iteration *i+1*'s placement solve warm-starts from
+/// iteration *i*'s (and lazy cut rounds within one call warm-start from
+/// each other). Warm starts are revalidated by the solver and never
+/// change the returned placement — only the work spent finding it.
+///
+/// # Errors
+///
+/// Same as [`place_buffers`].
 pub fn place_buffers_warm(
     p: &PlacementProblem<'_>,
     store: Option<&milp::MilpWarmStore>,
@@ -418,22 +426,13 @@ pub fn place_buffers_warm(
     let fixed: HashSet<ChannelId> = p.fixed.iter().copied().collect();
     let mut cuts = seed_cuts(p, &fixed);
 
-    let mut rounds = 0usize;
-    let mut unbreakable: Vec<u32> = Vec::new();
+    // Solver counters accumulate across cut rounds; the placement itself
+    // is filled in when the last round returns.
+    let mut out = PlacementResult::default();
     // Warm state carried across lazy cut rounds: round *i+1* solves the
     // same model plus a few covering rows, so round *i*'s basis and
     // incumbent are a near-perfect start (the solver revalidates both).
     let mut last_warm: Option<milp::WarmStart> = None;
-    let mut milp_pivots = 0u64;
-    let mut milp_refactors = 0u64;
-    let mut milp_nodes = 0u64;
-    let mut milp_rows_dropped = 0u64;
-    let mut milp_cuts = 0u64;
-    let mut milp_cut_rounds = 0u64;
-    let mut milp_nodes_pruned = 0u64;
-    let mut milp_bounds_tightened = 0u64;
-    let mut milp_warm_hits = 0u64;
-    let mut milp_warm_misses = 0u64;
     // The key depends only on the iteration-stable problem identity, not
     // the per-round model, so it is computed once.
     let key = store.map(|s| (s, warm_key(p)));
@@ -448,7 +447,7 @@ pub fn place_buffers_warm(
         // fixed channels (lo = 1) satisfy covering rows outright, so the
         // model shrinks measurably before the solver sees it.
         let reduction = model.canonicalize();
-        milp_rows_dropped += reduction.dropped() as u64;
+        out.milp_rows_dropped += reduction.dropped() as u64;
 
         // Exact solve with a bounded tree (warm-started from the store when
         // a previous solve of the same shape exists); on exhaustion fall
@@ -464,9 +463,16 @@ pub fn place_buffers_warm(
         let warm = stored
             .or_else(|| last_warm.take())
             .map(|w| w.remap_to(&model));
+        out.milp_solves += 1;
         let sol = match model.solve_warm(warm.as_ref()) {
-            Ok(s) => s,
-            Err(SolveError::NodeLimit) => model.solve_relaxation()?,
+            Ok(s) => {
+                out.milp_truncated += s.truncated as u64;
+                s
+            }
+            Err(SolveError::NodeLimit) => {
+                out.milp_fallbacks += 1;
+                model.solve_relaxation()?
+            }
             Err(e) => return Err(e.into()),
         };
         let entry = milp::WarmStart {
@@ -478,18 +484,18 @@ pub fn place_buffers_warm(
             s.put(*k, entry.clone());
         }
         last_warm = Some(entry);
-        milp_pivots += sol.pivots;
-        milp_refactors += sol.refactors;
-        milp_nodes += sol.nodes;
-        milp_cuts += sol.cuts;
-        milp_cut_rounds += sol.cut_rounds;
-        milp_nodes_pruned += sol.nodes_pruned;
-        milp_bounds_tightened += sol.presolve.bounds_tightened as u64;
+        out.milp_pivots += sol.pivots;
+        out.milp_refactors += sol.refactors;
+        out.milp_nodes += sol.nodes;
+        out.milp_cuts += sol.cuts;
+        out.milp_cut_rounds += sol.cut_rounds;
+        out.milp_nodes_pruned += sol.nodes_pruned;
+        out.milp_bounds_tightened += sol.presolve.bounds_tightened as u64;
         // Only cross-call *store* adoptions count as warm hits; the
         // intra-call round-to-round warm state above is unconditional and
         // would drown the signal the counter exists to expose.
-        milp_warm_hits += (from_store && sol.warm_used) as u64;
-        milp_warm_misses += (key.is_some() && !(from_store && sol.warm_used)) as u64;
+        out.milp_warm_hits += (from_store && sol.warm_used) as u64;
+        out.milp_warm_misses += (key.is_some() && !(from_store && sol.warm_used)) as u64;
         let placed: HashSet<ChannelId> = candidates
             .iter()
             .copied()
@@ -497,13 +503,13 @@ pub fn place_buffers_warm(
             .collect();
 
         // Lazy clock-period cuts from the timing model.
-        unbreakable.clear();
+        out.unbreakable_levels.clear();
         let is_broken = |c: ChannelId| placed.contains(&c) || fixed.contains(&c);
         let new_cuts: Vec<Cut> = match p.timing.critical_paths(p.target_levels, is_broken, 48) {
             Ok(paths) => {
                 let mut v = Vec::new();
                 for path in &paths {
-                    for cut in window_cuts(path, p.target_levels, &mut unbreakable) {
+                    for cut in window_cuts(path, p.target_levels, &mut out.unbreakable_levels) {
                         if !cuts.contains(&cut) {
                             v.push(cut);
                         }
@@ -522,7 +528,7 @@ pub fn place_buffers_warm(
             }
         };
 
-        if new_cuts.is_empty() || rounds >= p.max_cut_rounds {
+        if new_cuts.is_empty() || out.cut_rounds >= p.max_cut_rounds {
             let mut buffers: Vec<ChannelId> = placed.into_iter().collect();
             for &c in &fixed {
                 if !buffers.contains(&c) {
@@ -534,23 +540,12 @@ pub fn place_buffers_warm(
             return Ok(PlacementResult {
                 buffers,
                 throughputs,
-                cut_rounds: rounds,
-                unbreakable_levels: unbreakable,
                 objective: sol.objective,
-                milp_pivots,
-                milp_refactors,
-                milp_nodes,
-                milp_rows_dropped,
-                milp_cuts,
-                milp_cut_rounds,
-                milp_nodes_pruned,
-                milp_bounds_tightened,
-                milp_warm_hits,
-                milp_warm_misses,
+                ..out
             });
         }
         cuts.extend(new_cuts);
-        rounds += 1;
+        out.cut_rounds += 1;
     }
 }
 

@@ -360,8 +360,36 @@ impl TimingGraph {
     }
 
     /// Fake nodes per unit that are incident to an edge labeled with a
-    /// given channel — the `X_fake(c)` sets of Eq. 2.
+    /// given channel — the `X_fake(c)` sets of Eq. 2. A fake node counts
+    /// once per distinct channel on its incident edges.
+    ///
+    /// One pass over the edges collects the `(fake node, unit, channel)`
+    /// incidences; sorting and deduplicating that flat list leaves each
+    /// node's distinct channels, which are then tallied per unit.
     pub fn fake_nodes_touching(&self) -> HashMap<(UnitId, ChannelId), usize> {
+        let mut touched: Vec<(TimingNodeId, UnitId, ChannelId)> = Vec::new();
+        for e in &self.edges {
+            let Some(c) = e.channel else { continue };
+            for end in [e.from, e.to] {
+                let n = &self.nodes[end.0];
+                if let (true, Some(u)) = (n.fake, n.unit) {
+                    touched.push((end, u, c));
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut m: HashMap<(UnitId, ChannelId), usize> = HashMap::default();
+        for (_, u, c) in touched {
+            *m.entry((u, c)).or_default() += 1;
+        }
+        m
+    }
+
+    /// The original per-node rescan of every edge, O(fake nodes × edges):
+    /// the oracle [`TimingGraph::fake_nodes_touching`] is pinned to.
+    #[cfg(test)]
+    pub(crate) fn fake_nodes_touching_reference(&self) -> HashMap<(UnitId, ChannelId), usize> {
         let mut m: HashMap<(UnitId, ChannelId), usize> = HashMap::default();
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.fake {
@@ -463,5 +491,50 @@ mod tests {
         let fakes = tg.fake_nodes_touching();
         assert_eq!(fakes[&(UnitId::from_raw(1), ChannelId::from_raw(0))], 1);
         assert_eq!(fakes[&(UnitId::from_raw(1), ChannelId::from_raw(1))], 1);
+    }
+
+    #[test]
+    fn fake_touch_counts_distinct_channels_per_node() {
+        let (u1, u2) = (UnitId::from_raw(1), UnitId::from_raw(2));
+        let ch = ChannelId::from_raw;
+        let mut tg = tiny(); // real 0 (u0), fake 1 (u1), real 2 (u2)
+        let node = |tg: &mut TimingGraph, unit, fake| {
+            tg.add_node(TimingNode {
+                unit,
+                lut: None,
+                fake,
+            })
+        };
+        // A self-loop on a fake node: both ends are one incidence.
+        let loop_fake = node(&mut tg, Some(u2), true);
+        tg.add_edge(loop_fake, loop_fake, Some(ch(5)));
+        // One channel on both the in-edge and the out-edge of a fake node.
+        let through = node(&mut tg, Some(u2), true);
+        tg.add_edge(TimingNodeId(0), through, Some(ch(6)));
+        tg.add_edge(through, TimingNodeId(2), Some(ch(6)));
+        // A second fake node of u1 on channel 1, plus an unbreakable edge.
+        let second = node(&mut tg, Some(u1), true);
+        tg.add_edge(second, TimingNodeId(2), Some(ch(1)));
+        tg.add_edge(TimingNodeId(0), second, None);
+        // A fake node without a unit is never counted.
+        let orphan = node(&mut tg, None, true);
+        tg.add_edge(TimingNodeId(0), orphan, Some(ch(7)));
+        // Real nodes are ignored even when they sit on channel edges.
+        let real = node(&mut tg, Some(u1), false);
+        tg.add_edge(real, TimingNodeId(2), Some(ch(8)));
+
+        let fakes = tg.fake_nodes_touching();
+        assert_eq!(fakes, tg.fake_nodes_touching_reference());
+        let mut got: Vec<_> = fakes.into_iter().collect();
+        got.sort();
+        assert_eq!(
+            got,
+            vec![
+                ((u1, ch(0)), 1),
+                ((u1, ch(1)), 2),
+                ((u2, ch(5)), 1),
+                ((u2, ch(6)), 1),
+            ]
+        );
     }
 }

@@ -8,6 +8,7 @@
 //! [`FlowResult`](crate::FlowResult) and is printed by the bench
 //! binaries, giving performance work a baseline to regress against.
 
+use crate::place::PlacementResult;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -19,7 +20,9 @@ pub struct FlowTrace {
     pub synth: Duration,
     /// Time spent mapping LUT edges back onto the DFG.
     pub map: Duration,
-    /// Time spent building mapping-aware (or baseline) timing models.
+    /// Time spent building the placement model's inputs: mapping-aware
+    /// (or baseline) timing graphs, CFDFC extraction and the logic-sharing
+    /// penalties.
     pub timing: Duration,
     /// Time spent in the placement MILP.
     pub milp: Duration,
@@ -58,6 +61,14 @@ pub struct FlowTrace {
     /// Placement-store lookups that did *not* end in an adopted warm start
     /// (empty store, or the remapped entry failed revalidation).
     pub milp_warm_misses: u64,
+    /// Placement MILP solves started (one per lazy cut round).
+    pub milp_solves: u64,
+    /// Placement solves that hit their node or pivot budget and returned
+    /// an unproven incumbent.
+    pub milp_truncated: u64,
+    /// Placement solves with no incumbent within the node limit, answered
+    /// by rounding the LP relaxation up instead.
+    pub milp_fallbacks: u64,
     /// Figure-4 iterations executed.
     pub iterations: usize,
     /// Portion of `synth` spent in full (basis-less) synthesis runs.
@@ -157,6 +168,24 @@ impl FlowTrace {
         self.sim_compiles += stats.compiles;
     }
 
+    /// Merges the solver counters of one placement call.
+    pub fn record_placement(&mut self, p: &PlacementResult) {
+        self.cut_rounds += p.cut_rounds;
+        self.milp_pivots += p.milp_pivots;
+        self.milp_refactors += p.milp_refactors;
+        self.milp_nodes += p.milp_nodes;
+        self.milp_rows_dropped += p.milp_rows_dropped;
+        self.milp_cuts += p.milp_cuts;
+        self.milp_cut_rounds += p.milp_cut_rounds;
+        self.milp_nodes_pruned += p.milp_nodes_pruned;
+        self.milp_bounds_tightened += p.milp_bounds_tightened;
+        self.milp_warm_hits += p.milp_warm_hits;
+        self.milp_warm_misses += p.milp_warm_misses;
+        self.milp_solves += p.milp_solves;
+        self.milp_truncated += p.milp_truncated;
+        self.milp_fallbacks += p.milp_fallbacks;
+    }
+
     /// Sums phase durations and counters of `other` into `self` (used to
     /// aggregate the two flows of a comparison run).
     pub fn absorb(&mut self, other: &FlowTrace) {
@@ -179,6 +208,9 @@ impl FlowTrace {
         self.milp_bounds_tightened += other.milp_bounds_tightened;
         self.milp_warm_hits += other.milp_warm_hits;
         self.milp_warm_misses += other.milp_warm_misses;
+        self.milp_solves += other.milp_solves;
+        self.milp_truncated += other.milp_truncated;
+        self.milp_fallbacks += other.milp_fallbacks;
         self.iterations += other.iterations;
         self.synth_full += other.synth_full;
         self.synth_incremental += other.synth_incremental;
@@ -205,7 +237,7 @@ impl fmt::Display for FlowTrace {
             "synth {:.2}s (full {:.2}s + incr {:.2}s) | map {:.2}s | timing {:.2}s | \
              milp {:.2}s ({} pivots, {} nodes, {} refactors, {} rows dropped, \
              {} cuts/{} rounds, {} pruned, {} bounds tightened, \
-             {} warm hits/{} misses) | \
+             {} warm hits/{} misses, {} truncated + {} fallbacks/{} solves) | \
              slack {:.2}s ({} trials, {} pruned) | \
              sim {:.2}s ({} runs, {} cycles, {} compiles) | \
              total {:.2}s | cache {}/{} hits ({:.0}%) | \
@@ -228,6 +260,9 @@ impl fmt::Display for FlowTrace {
             self.milp_bounds_tightened,
             self.milp_warm_hits,
             self.milp_warm_misses,
+            self.milp_truncated,
+            self.milp_fallbacks,
+            self.milp_solves,
             self.slack.as_secs_f64(),
             self.slack_trials,
             self.slack_trials_pruned,
@@ -299,6 +334,9 @@ mod tests {
             milp_bounds_tightened: 13,
             milp_warm_hits: 3,
             milp_warm_misses: 2,
+            milp_solves: 7,
+            milp_truncated: 2,
+            milp_fallbacks: 1,
             iterations: 4,
             synth: Duration::from_millis(5),
             synth_incremental: Duration::from_millis(2),
@@ -330,6 +368,9 @@ mod tests {
         assert_eq!(a.milp_bounds_tightened, 13);
         assert_eq!(a.milp_warm_hits, 3);
         assert_eq!(a.milp_warm_misses, 2);
+        assert_eq!(a.milp_solves, 7);
+        assert_eq!(a.milp_truncated, 2);
+        assert_eq!(a.milp_fallbacks, 1);
         assert_eq!(a.iterations, 5);
         assert_eq!(a.synth, Duration::from_millis(15));
         assert_eq!(a.synth_incremental, Duration::from_millis(2));
@@ -345,6 +386,48 @@ mod tests {
         assert_eq!(a.synth_jobs, 4);
         assert_eq!(a.par_unit_tasks, 5);
         assert_eq!(a.par_pack_tasks, 40);
+    }
+
+    #[test]
+    fn record_placement_carries_every_counter() {
+        let p = PlacementResult {
+            cut_rounds: 1,
+            milp_pivots: 2,
+            milp_refactors: 3,
+            milp_nodes: 4,
+            milp_rows_dropped: 5,
+            milp_cuts: 6,
+            milp_cut_rounds: 7,
+            milp_nodes_pruned: 8,
+            milp_bounds_tightened: 9,
+            milp_warm_hits: 10,
+            milp_warm_misses: 11,
+            milp_solves: 12,
+            milp_truncated: 13,
+            milp_fallbacks: 14,
+            ..PlacementResult::default()
+        };
+        let mut t = FlowTrace::default();
+        t.record_placement(&p);
+        t.record_placement(&p);
+        let got = [
+            t.cut_rounds as u64,
+            t.milp_pivots,
+            t.milp_refactors,
+            t.milp_nodes,
+            t.milp_rows_dropped,
+            t.milp_cuts,
+            t.milp_cut_rounds,
+            t.milp_nodes_pruned,
+            t.milp_bounds_tightened,
+            t.milp_warm_hits,
+            t.milp_warm_misses,
+            t.milp_solves,
+            t.milp_truncated,
+            t.milp_fallbacks,
+        ];
+        let want: Vec<u64> = (1..=14).map(|v| 2 * v).collect();
+        assert_eq!(got.to_vec(), want);
     }
 
     #[test]
