@@ -17,10 +17,13 @@
 //!
 //! With `--baseline FILE`, the previously committed `BENCH_synth.json` is
 //! read *before* the fresh run overwrites it, and the run fails if any
-//! kernel's LUT count or total cut-input count drifts by more than 10%.
-//! Both are deterministic products of the mapper, so any drift is a
-//! mapping-semantics change — the head-room only forgives intentional
-//! changes committed together with a refreshed baseline.
+//! kernel's LUT count or total cut-input count drifts by more than 10%,
+//! or if its `flow_visits` (residual-search states the labeler's max-flow
+//! tests pushed) rises by more than 10%. All three are deterministic
+//! products of the mapper: LUT or cut drift is a mapping-semantics
+//! change, a visit rise is a labeler work regression — the head-room
+//! only forgives intentional changes committed together with a refreshed
+//! baseline.
 
 use frequenz_bench::{parse_jobs, CompareError};
 use lutmap::{map_netlist, map_netlist_reference, map_netlist_with_seed, MapOptions};
@@ -36,6 +39,7 @@ struct Row {
     luts: usize,
     depth: u32,
     cut_inputs: usize,
+    flow_visits: usize,
     reference_s: f64,
     dense_s: [f64; SWEEP.len()],
     seeded_s: f64,
@@ -44,8 +48,8 @@ struct Row {
 }
 
 impl Row {
-    /// Dense single-thread lane vs the HashMap reference — the pure
-    /// data-layout win.
+    /// Dense single-thread lane vs the HashMap reference: the dense layout
+    /// and the implicit max-flow together.
     fn dense_speedup(&self) -> f64 {
         self.reference_s / self.dense_s[0].max(1e-12)
     }
@@ -89,10 +93,19 @@ fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one repeat"))
 }
 
-/// Extracts `(name, luts, cut_inputs)` per kernel from a previously
-/// written `BENCH_synth.json` (hand-rolled: the bench crate has no JSON
+/// One kernel's gated counts in a previously written `BENCH_synth.json`.
+struct BaselineRow {
+    name: String,
+    luts: u64,
+    cut_inputs: u64,
+    /// Absent in files written before the counter existed.
+    flow_visits: Option<u64>,
+}
+
+/// Extracts the gated counts per kernel from a previously written
+/// `BENCH_synth.json` (hand-rolled: the bench crate has no JSON
 /// dependency, and the file is machine-written one kernel per line).
-fn baseline_stats(text: &str) -> Vec<(String, u64, u64)> {
+fn baseline_stats(text: &str) -> Vec<BaselineRow> {
     fn field(line: &str, key: &str) -> Option<u64> {
         let pos = line.find(key)?;
         let digits: String = line[pos + key.len()..]
@@ -109,10 +122,15 @@ fn baseline_stats(text: &str) -> Vec<(String, u64, u64)> {
         let rest = &line[npos + 9..];
         let Some(end) = rest.find('"') else { continue };
         let name = rest[..end].to_string();
-        if let (Some(luts), Some(cuts)) =
+        if let (Some(luts), Some(cut_inputs)) =
             (field(line, "\"luts\": "), field(line, "\"cut_inputs\": "))
         {
-            out.push((name, luts, cuts));
+            out.push(BaselineRow {
+                name,
+                luts,
+                cut_inputs,
+                flow_visits: field(line, "\"flow_visits\": "),
+            });
         }
     }
     out
@@ -160,14 +178,15 @@ fn main() -> Result<(), CompareError> {
         kernels.len()
     );
     println!(
-        "{:<15} | {:>6} {:>6} {:>5} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>9} {:>7} | {:>9} {:>6} | {:>5}",
+        "{:<15} | {:>6} {:>6} {:>5} {:>9} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>9} {:>7} | {:>9} {:>6} | {:>5}",
         "Benchmark",
         "gates",
         "luts",
         "depth",
+        "visits",
         "ref(s)",
         "dense(s)",
-        "layout",
+        "j1 x",
         "j2(s)",
         "j4(s)",
         "j8(s)",
@@ -223,7 +242,7 @@ fn main() -> Result<(), CompareError> {
         // Self-seeded incremental lane: map once to harvest the seed, match
         // the netlist against itself (order-isomorphic, total), then remap
         // with every label served from the seed.
-        let (_, seed, _) =
+        let (_, seed, fresh_stats) =
             map_netlist_with_seed(&nl, &ref_opts, None).expect("kernel netlists are acyclic");
         let matching = match_netlists(&nl, &nl);
         let mut reuse_rate = 0.0;
@@ -252,6 +271,7 @@ fn main() -> Result<(), CompareError> {
             luts: dense.num_luts(),
             depth: dense.depth(),
             cut_inputs: dense.total_cut_inputs(),
+            flow_visits: fresh_stats.flow_visits,
             reference_s,
             dense_s,
             seeded_s,
@@ -259,11 +279,12 @@ fn main() -> Result<(), CompareError> {
             identical,
         };
         println!(
-            "{:<15} | {:>6} {:>6} {:>5} | {:>9.4} {:>9.4} {:>5.2}x | {:>9.4} {:>9.4} {:>9.4} {:>6.2}x | {:>9.4} {:>5.0}% | {:>5}",
+            "{:<15} | {:>6} {:>6} {:>5} {:>9} | {:>9.4} {:>9.4} {:>5.2}x | {:>9.4} {:>9.4} {:>9.4} {:>6.2}x | {:>9.4} {:>5.0}% | {:>5}",
             row.name,
             row.gates,
             row.luts,
             row.depth,
+            row.flow_visits,
             row.reference_s,
             row.dense_s[0],
             row.dense_speedup(),
@@ -292,8 +313,8 @@ fn main() -> Result<(), CompareError> {
     let headline_speedup = ref_total / headline_total.max(1e-12);
     let seeded_speedup = ref_total / seeded_total.max(1e-12);
     println!(
-        "\ndense layout (jobs=1): {dense_total:.4}s vs reference {ref_total:.4}s — \
-         {layout_speedup:.2}x from the data layout alone"
+        "\ndense lane (jobs=1): {dense_total:.4}s vs reference {ref_total:.4}s — \
+         {layout_speedup:.2}x single-threaded (dense layout plus implicit max-flow)"
     );
     println!(
         "dense at jobs={headline_jobs}: {headline_total:.4}s — {headline_speedup:.2}x vs the \
@@ -329,7 +350,7 @@ fn main() -> Result<(), CompareError> {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"gates\": {}, \"luts\": {}, \"depth\": {}, \
-             \"cut_inputs\": {}, \"reference_s\": {:.6}, \"dense_s\": {:.6}, \
+             \"cut_inputs\": {}, \"flow_visits\": {}, \"reference_s\": {:.6}, \"dense_s\": {:.6}, \
              \"dense_j2_s\": {:.6}, \"dense_j4_s\": {:.6}, \"dense_j8_s\": {:.6}, \
              \"seeded_s\": {:.6}, \"dense_layout_speedup\": {:.3}, \
              \"headline_speedup\": {:.3}, \"seeded_speedup\": {:.3}, \
@@ -339,6 +360,7 @@ fn main() -> Result<(), CompareError> {
             r.luts,
             r.depth,
             r.cut_inputs,
+            r.flow_visits,
             r.reference_s,
             r.dense_s[0],
             r.dense_s[1],
@@ -357,19 +379,20 @@ fn main() -> Result<(), CompareError> {
     std::fs::write(&out, json)?;
     eprintln!("[bench_synth] wrote {out}");
 
-    // Mapping-quality regression gate: fresh vs the committed baseline.
-    // Runs after the new JSON lands so a failing run still leaves the
-    // numbers behind for inspection.
+    // Mapping-quality and work-counter regression gate: fresh vs the
+    // committed baseline. Runs after the new JSON lands so a failing run
+    // still leaves the numbers behind for inspection.
     if let Some(stats) = baseline {
         let mut regressed = false;
-        for (name, base_luts, base_cuts) in &stats {
+        for b in &stats {
+            let name = &b.name;
             let Some(r) = rows.iter().find(|r| r.name == name.as_str()) else {
                 eprintln!("[bench_synth] baseline kernel {name} no longer benchmarked");
                 continue;
             };
             for (what, fresh, base) in [
-                ("LUT count", r.luts as f64, *base_luts as f64),
-                ("cut-input count", r.cut_inputs as f64, *base_cuts as f64),
+                ("LUT count", r.luts as f64, b.luts as f64),
+                ("cut-input count", r.cut_inputs as f64, b.cut_inputs as f64),
             ] {
                 if fresh > base * 1.10 + 1e-9 || fresh < base * 0.90 - 1e-9 {
                     eprintln!(
@@ -378,12 +401,21 @@ fn main() -> Result<(), CompareError> {
                     regressed = true;
                 }
             }
+            if let Some(base) = b.flow_visits {
+                if r.flow_visits as f64 > base as f64 * 1.10 + 1e-9 {
+                    eprintln!(
+                        "[bench_synth] REGRESSION: {name} flow_visits {} vs baseline {base} (>10% rise)",
+                        r.flow_visits
+                    );
+                    regressed = true;
+                }
+            }
         }
         if regressed {
-            return Err("mapping quality drifted >10% vs baseline".into());
+            return Err("mapping quality or labeler work drifted >10% vs baseline".into());
         }
         eprintln!(
-            "[bench_synth] LUT and cut-input counts within 10% of baseline on all {} kernels",
+            "[bench_synth] LUT, cut-input and flow-visit counts within 10% of baseline on all {} kernels",
             stats.len()
         );
     }

@@ -12,9 +12,20 @@
 //! Labels and cuts live in flat arrays indexed by a *dense* per-netlist
 //! logic-gate index (assigned in topological order); cuts share one pooled
 //! arena addressed by `(offset, len)` spans. The per-gate max-flow scratch
-//! (cone marks, local indices, the flow network, BFS state) is allocated
-//! once per worker and reused across gates with epoch-stamped visited
-//! sets, so the hot loop performs no hashing and no per-gate allocation.
+//! is allocated once per worker and reused across gates with epoch
+//! stamps, so the hot loop performs no hashing and no per-gate allocation.
+//!
+//! # Implicit max-flow
+//!
+//! No flow network is built. The max-flow test runs over the cone that
+//! the label computation walks anyway: per gate it keeps a saturation bit
+//! and a `next` pointer (node capacities are 1, so a node's unit of flow
+//! takes exactly one out-arc) plus in/out visit marks, and it finds
+//! augmenting paths by a DFS backward from the collapsed sink that reads
+//! only the fanin arrays. The cut still equals the reference labeler's
+//! (which augments along BFS paths of an explicit network) because the
+//! residual reach sets of a maximum flow do not depend on which maximum
+//! flow was found.
 //!
 //! # Level-synchronous parallelism
 //!
@@ -33,11 +44,12 @@ use netlist::{GateId, Netlist, NetlistMatching};
 
 /// Sentinel for "no dense index" / "unmatched gate".
 const NONE: u32 = u32::MAX;
-/// Local-index sentinel marking a collapsed (sink-merged) cone node.
-const COLLAPSED: u32 = u32::MAX;
 /// Minimum gates in one topological level before it is worth fanning the
-/// level out over threads (below this, scoped-thread setup dominates).
-const PAR_MIN_GATES: usize = 48;
+/// level out over threads. A label costs about half a microsecond on
+/// wide levels, so a level must hold well over a thousand gates to
+/// repay a scoped-thread fan-out (~60 µs for two workers on a 2-core
+/// VM); no level of the nine Table I kernels (at most ~500 gates) does.
+const PAR_MIN_GATES: usize = 1024;
 
 /// The combinational DAG view of a netlist: live logic gates with resolved
 /// (alias-free) fanins, stored as flat arrays indexed by a dense logic
@@ -254,6 +266,10 @@ pub struct MapStats {
     pub labels_computed: usize,
     /// LUTs packed by the cover phase (one packing task each).
     pub luts_packed: usize,
+    /// Residual-search states pushed by the max-flow label tests (every
+    /// augmenting search plus the source-side cut search): the labeler's
+    /// deterministic work counter.
+    pub flow_visits: usize,
 }
 
 /// A previous run's labels and cuts, expressed in *that run's* gate ids,
@@ -441,6 +457,7 @@ pub(crate) fn compute_labels_seeded(
                 } else {
                     stats.labels_computed += 1;
                 }
+                stats.flow_visits += std::mem::take(&mut scratch.flow_visits);
                 let cut = std::mem::take(&mut scratch.cut_out);
                 labeling.push(d, label, &cut);
                 scratch.cut_out = cut;
@@ -464,6 +481,7 @@ pub(crate) fn compute_labels_seeded(
                                 labels: Vec::with_capacity(chunk.len()),
                                 lens: Vec::with_capacity(chunk.len()),
                                 pool: Vec::new(),
+                                flow_visits: 0,
                             };
                             for &d in chunk {
                                 let t = view.topo[d as usize];
@@ -474,6 +492,7 @@ pub(crate) fn compute_labels_seeded(
                                 out.lens.push(scratch.cut_out.len() as u32);
                                 out.pool.extend_from_slice(&scratch.cut_out);
                             }
+                            out.flow_visits = std::mem::take(&mut scratch.flow_visits);
                             out
                         })
                     })
@@ -484,6 +503,7 @@ pub(crate) fn compute_labels_seeded(
                     .collect()
             });
             for (chunk, out) in chunks.iter().zip(outs) {
+                stats.flow_visits += out.flow_visits;
                 let mut pos = 0usize;
                 for ((&d, &(label, reused)), &len) in chunk.iter().zip(&out.labels).zip(&out.lens) {
                     if reused {
@@ -501,11 +521,13 @@ pub(crate) fn compute_labels_seeded(
 }
 
 /// One worker chunk's results: per-gate labels plus a private cut pool
-/// (lengths delimit consecutive cuts), merged deterministically.
+/// (lengths delimit consecutive cuts) and the chunk's residual-search
+/// work, merged deterministically.
 struct ChunkOut {
     labels: Vec<(u32, bool)>,
     lens: Vec<u32>,
     pool: Vec<GateId>,
+    flow_visits: usize,
 }
 
 /// The label of `f` as seen by the labeler: 0 for startpoints, the
@@ -561,54 +583,411 @@ fn label_one_gate(
     }
 }
 
-/// Reusable per-worker scratch for the max-flow label test: epoch-stamped
-/// visited marks sized by the netlist's gate count, the cone/local lists,
-/// and the flow network's buffers. Nothing here is reallocated per gate.
+/// `next` target of a node whose unit of flow enters the sink.
+const SINK: u32 = u32::MAX;
+/// Residual-search state of the sink (other states are
+/// `gate index << 1 | half`, half 0 = in, 1 = out).
+const SINK_STATE: u32 = u32::MAX;
+/// "No state" / "no node" marker of the residual searches.
+const NO_STATE: u32 = u32::MAX - 1;
+
+#[inline]
+fn in_state(g: usize) -> u32 {
+    (g as u32) << 1
+}
+
+#[inline]
+fn out_state(g: usize) -> u32 {
+    (g as u32) << 1 | 1
+}
+
+/// Per-gate state of the implicit max-flow test, epoch-stamped so that no
+/// field is cleared between gates or between residual searches.
+///
+/// Node capacities are 1, so a node carries at most one unit of flow and
+/// sends it along at most one out-arc: a saturation bit plus one `next`
+/// pointer describe the whole flow.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeMark {
+    /// `== epoch`: the gate belongs to the current cone.
+    cone: u32,
+    /// `== epoch`: the gate's in→out arc carries its unit of flow.
+    flow: u32,
+    /// The fanout (gate index) or [`SINK`] that receives that unit; only
+    /// meaningful while `flow == epoch`.
+    next: u32,
+    /// `== search`: the current residual search visited the in half.
+    seen_in: u32,
+    /// `== search`: the current residual search visited the out half.
+    seen_out: u32,
+}
+
+/// Reusable per-worker scratch for the max-flow label test: the
+/// epoch-stamped per-gate flow state sized by the netlist's gate count,
+/// the cone and search stacks, and (for source-side cuts only) a
+/// cone-local fanout list. Nothing here is reallocated per gate.
 pub(crate) struct LabelScratch {
-    /// Cone membership marks by gate index (`stamp[g] == epoch`).
-    stamp: Vec<u32>,
-    /// Local flow-node index by gate index (valid when stamped);
-    /// [`COLLAPSED`] marks sink-merged nodes.
-    local_idx: Vec<u32>,
+    marks: Vec<NodeMark>,
     epoch: u32,
+    search: u32,
+    /// The current cone in walk order (DFS pop order from the root).
     cone: Vec<GateId>,
-    locals: Vec<GateId>,
+    /// Out halves with an arc into the sink: the non-collapsed fanins of
+    /// collapsed cone nodes (duplicates are harmless).
+    sink_preds: Vec<GateId>,
+    /// Cone-walk stack.
     stack: Vec<GateId>,
+    /// Residual-search stack: `(state, next predecessor to try)`.
+    frames: Vec<(u32, u32)>,
+    /// Source-side cuts only: cone position by gate index, and the
+    /// in-cone fanouts of cone position `i` as
+    /// `fanout_pool[fanout_offs[i]..fanout_offs[i + 1]]`.
+    local: Vec<u32>,
+    fanout_offs: Vec<u32>,
+    fanout_pool: Vec<u32>,
+    /// Source-side cuts only: the node whose unit of flow enters cone
+    /// position `i` ([`NO_STATE`] if none).
+    feeder: Vec<u32>,
+    /// Residual-search states pushed since the caller last took it.
+    pub flow_visits: usize,
     /// The chosen cut of the most recent gate.
     pub cut_out: Vec<GateId>,
-    flow: FlowScratch,
 }
 
 impl LabelScratch {
     pub fn new(num_gates: usize) -> Self {
         LabelScratch {
-            stamp: vec![0; num_gates],
-            local_idx: vec![0; num_gates],
+            marks: vec![NodeMark::default(); num_gates],
             epoch: 0,
+            search: 0,
             cone: Vec::new(),
-            locals: Vec::new(),
+            sink_preds: Vec::new(),
             stack: Vec::new(),
+            frames: Vec::new(),
+            local: Vec::new(),
+            fanout_offs: Vec::new(),
+            fanout_pool: Vec::new(),
+            feeder: Vec::new(),
+            flow_visits: 0,
             cut_out: Vec::new(),
-            flow: FlowScratch::default(),
         }
     }
 
     fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            for m in &mut self.marks {
+                m.cone = 0;
+                m.flow = 0;
+            }
             self.epoch = 0;
         }
         self.epoch += 1;
         self.epoch
     }
+
+    fn next_search(&mut self) -> u32 {
+        if self.search == u32::MAX {
+            for m in &mut self.marks {
+                m.seen_in = 0;
+                m.seen_out = 0;
+            }
+            self.search = 0;
+        }
+        self.search += 1;
+        self.search
+    }
+
+    /// Collects the cone of `t` (internal logic nodes and startpoint
+    /// leaves, in walk order) and the sink's predecessors. Collapsed nodes
+    /// (`t` and every cone gate labeled `p`) merge into the sink.
+    fn walk_cone(&mut self, view: &CombView, labels: &[u32], t: GateId, p: u32, epoch: u32) {
+        let dt = view.dense_of(t);
+        let collapsed = |g: GateId| match view.dense_of(g) {
+            Some(d) => Some(d) == dt || labels[d as usize] == p,
+            None => false,
+        };
+        let LabelScratch {
+            marks,
+            cone,
+            sink_preds,
+            stack,
+            ..
+        } = self;
+        cone.clear();
+        sink_preds.clear();
+        stack.clear();
+        stack.push(t);
+        marks[t.index()].cone = epoch;
+        while let Some(u) = stack.pop() {
+            cone.push(u);
+            if let Some(du) = view.dense_of(u) {
+                let u_collapsed = collapsed(u);
+                for &f in view.fanins_of(du) {
+                    if u_collapsed && !collapsed(f) {
+                        sink_preds.push(f);
+                    }
+                    debug_assert!(
+                        u_collapsed || !collapsed(f),
+                        "labels are monotone: a collapsed node never feeds a kept one"
+                    );
+                    if marks[f.index()].cone != epoch {
+                        marks[f.index()].cone = epoch;
+                        stack.push(f);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Finds one augmenting path by an iterative DFS *backward* from the
+    /// sink over the residual graph, reading nothing but the fanin arrays
+    /// and the per-gate flow state, and pushes one unit along it. On
+    /// failure the search's visit marks are exactly the halves that reach
+    /// the sink.
+    ///
+    /// Residual predecessors: the sink's are [`Self::sink_preds`]; `In(u)`
+    /// reaches the source iff `u` is a startpoint, and otherwise has
+    /// `Out(f)` for each fanin `f` plus `Out(u)` while `u` carries flow;
+    /// `Out(u)` has `In(u)` while `u` carries no flow, else
+    /// `In(next[u])` (cancelling the arc its unit takes).
+    fn augment(&mut self, view: &CombView, epoch: u32) -> bool {
+        let search = self.next_search();
+        let LabelScratch {
+            marks,
+            sink_preds,
+            frames,
+            flow_visits,
+            ..
+        } = self;
+        frames.clear();
+        frames.push((SINK_STATE, 0));
+        *flow_visits += 1;
+        while let Some(top) = frames.last_mut() {
+            let (state, pos) = *top;
+            let mut pred = NO_STATE;
+            if state == SINK_STATE {
+                let mut i = pos as usize;
+                while i < sink_preds.len() {
+                    let u = sink_preds[i].index();
+                    i += 1;
+                    if marks[u].seen_out != search {
+                        pred = out_state(u);
+                        break;
+                    }
+                }
+                top.1 = i as u32;
+            } else if state & 1 == 1 {
+                let u = (state >> 1) as usize;
+                if pos == 0 {
+                    top.1 = 1;
+                    let m = marks[u];
+                    let v = if m.flow == epoch { m.next } else { u as u32 };
+                    if v != SINK && marks[v as usize].seen_in != search {
+                        pred = in_state(v as usize);
+                    }
+                }
+            } else {
+                let u = (state >> 1) as usize;
+                // In halves of startpoints end the search before they are
+                // ever resumed, so `u` is a logic gate here.
+                let fanins = view.fanins_of(view.dense[u]);
+                let mut i = pos as usize;
+                while i < fanins.len() {
+                    let f = fanins[i].index();
+                    i += 1;
+                    if marks[f].seen_out != search {
+                        pred = out_state(f);
+                        break;
+                    }
+                }
+                if pred == NO_STATE && i == fanins.len() {
+                    i += 1;
+                    if marks[u].flow == epoch && marks[u].seen_out != search {
+                        pred = out_state(u);
+                    }
+                }
+                top.1 = i as u32;
+            }
+            if pred == NO_STATE {
+                frames.pop();
+                continue;
+            }
+            *flow_visits += 1;
+            let g = (pred >> 1) as usize;
+            frames.push((pred, 0));
+            if pred & 1 == 1 {
+                marks[g].seen_out = search;
+            } else {
+                marks[g].seen_in = search;
+                if view.dense[g] == NONE {
+                    push_flow(frames, marks, epoch);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Source-side (min-volume) cut after a maximum flow: the nodes whose
+    /// in half the source reaches in the residual graph but whose out half
+    /// it does not. This forward search needs in-cone fanout lists and the
+    /// node feeding each in half, which the backward augmenting search
+    /// does not, so both are built here, for this mode only.
+    fn source_side_cut(&mut self, view: &CombView, labels: &[u32], t: GateId, p: u32, epoch: u32) {
+        let search = self.next_search();
+        let dt = view.dense_of(t);
+        let kept_logic = |g: GateId| match view.dense_of(g) {
+            Some(d) => Some(d) != dt && labels[d as usize] != p,
+            None => false,
+        };
+        let LabelScratch {
+            marks,
+            cone,
+            frames,
+            local,
+            fanout_offs,
+            fanout_pool,
+            feeder,
+            flow_visits,
+            cut_out,
+            ..
+        } = self;
+        if local.len() < marks.len() {
+            local.resize(marks.len(), 0);
+        }
+        let n = cone.len();
+        for (i, &u) in cone.iter().enumerate() {
+            local[u.index()] = i as u32;
+        }
+        // In-cone fanouts by counting sort (bucket ends by an inclusive
+        // scan, then filled back to front so each end becomes its start);
+        // arcs into collapsed nodes lead to the sink, which the source
+        // cannot reach after a max flow.
+        fanout_offs.clear();
+        fanout_offs.resize(n + 1, 0);
+        for &v in cone.iter().filter(|&&v| kept_logic(v)) {
+            for &f in view.fanins_of(view.dense[v.index()]) {
+                fanout_offs[local[f.index()] as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for o in fanout_offs.iter_mut() {
+            end += *o;
+            *o = end;
+        }
+        fanout_pool.resize(end as usize, 0);
+        for &v in cone.iter().filter(|&&v| kept_logic(v)) {
+            for &f in view.fanins_of(view.dense[v.index()]) {
+                let c = &mut fanout_offs[local[f.index()] as usize];
+                *c -= 1;
+                fanout_pool[*c as usize] = v.index() as u32;
+            }
+        }
+        feeder.clear();
+        feeder.resize(n, NO_STATE);
+        for &u in cone.iter() {
+            let m = marks[u.index()];
+            if m.flow == epoch && m.next != SINK {
+                feeder[local[m.next as usize] as usize] = u.index() as u32;
+            }
+        }
+
+        // Forward search from the source, which reaches every startpoint's
+        // in half.
+        frames.clear();
+        *flow_visits += 1;
+        for &s in cone.iter().filter(|&&s| !view.is_logic(s)) {
+            marks[s.index()].seen_in = search;
+            frames.push((in_state(s.index()), 0));
+            *flow_visits += 1;
+        }
+        let mut visit = |state: u32, frames: &mut Vec<(u32, u32)>, marks: &mut [NodeMark]| {
+            let g = (state >> 1) as usize;
+            let seen = if state & 1 == 1 {
+                &mut marks[g].seen_out
+            } else {
+                &mut marks[g].seen_in
+            };
+            if *seen != search {
+                *seen = search;
+                frames.push((state, 0));
+                *flow_visits += 1;
+            }
+        };
+        while let Some((state, _)) = frames.pop() {
+            let u = (state >> 1) as usize;
+            let m = marks[u];
+            let i = local[u] as usize;
+            if state & 1 == 0 {
+                if m.flow != epoch {
+                    visit(out_state(u), frames, marks);
+                }
+                if feeder[i] != NO_STATE {
+                    visit(out_state(feeder[i] as usize), frames, marks);
+                }
+            } else {
+                for j in fanout_offs[i]..fanout_offs[i + 1] {
+                    visit(in_state(fanout_pool[j as usize] as usize), frames, marks);
+                }
+                if m.flow == epoch {
+                    visit(in_state(u), frames, marks);
+                }
+            }
+        }
+        cut_out.clear();
+        for &u in cone.iter() {
+            let m = marks[u.index()];
+            if m.seen_in == search && m.seen_out != search {
+                cut_out.push(u);
+            }
+        }
+    }
+}
+
+/// Augments along the residual path on `frames` (sink first, a
+/// startpoint's in half last): each consecutive pair `(y, x)` is a
+/// residual arc `x → y`.
+fn push_flow(frames: &[(u32, u32)], marks: &mut [NodeMark], epoch: u32) {
+    for w in frames.windows(2) {
+        let (y, x) = (w[0].0, w[1].0);
+        let xu = (x >> 1) as usize;
+        if y == SINK_STATE {
+            marks[xu].next = SINK;
+            continue;
+        }
+        let yu = y >> 1;
+        match (x & 1 == 1, xu as u32 == yu) {
+            // In(u) → Out(u): saturate u.
+            (false, true) => marks[xu].flow = epoch,
+            // Out(u) → In(u): cancel u's unit.
+            (true, true) => marks[xu].flow = 0,
+            // Out(u) → In(v): u's unit now enters v.
+            (true, false) => marks[xu].next = yu,
+            // In(v) → Out(u): cancels u's arc into v; the window before
+            // this one re-routes (or cancels) u's unit.
+            (false, false) => {}
+        }
+    }
 }
 
 /// Max-flow test: collapse `t` and all cone nodes labeled `p` into the
 /// sink; if a node cut of size ≤ k exists between startpoint leaves and
-/// the sink, leave it in `scratch.cut_out` (as netlist gates) and return
-/// `true`. The cone walk, flow-network construction, BFS tie-breaking and
-/// cut extraction reproduce the reference labeler step for step, so the
-/// chosen cut (not just its size) is bit-identical.
+/// the sink, leave it in `scratch.cut_out` (as netlist gates, in
+/// cone-walk order) and return `true`.
+///
+/// The flow network is implicit: every non-collapsed cone node `u` splits
+/// into `In(u) → Out(u)` of capacity 1, fanin arcs and the source's arcs
+/// into startpoints are unbounded, and the flow itself lives in the
+/// per-gate [`NodeMark`]s. Augmenting paths are searched backward from
+/// the sink straight off the [`CombView`] fanin arrays, aborting once the
+/// flow exceeds `k`.
+///
+/// The chosen cut matches the reference labeler's exactly although the
+/// augmenting paths differ: for *every* maximum flow, the set of nodes
+/// that reach the sink in the residual graph is the same, and so is the
+/// set the source reaches. The max-volume cut `{u : Out(u) reaches the
+/// sink, In(u) does not}` is read off the final, failing search's visit
+/// marks; the source-side cut needs one forward search.
 fn min_cut_with_collapsed(
     view: &CombView,
     labels: &[u32],
@@ -619,270 +998,35 @@ fn min_cut_with_collapsed(
     scratch: &mut LabelScratch,
 ) -> bool {
     let epoch = scratch.next_epoch();
-    let LabelScratch {
-        stamp,
-        local_idx,
-        cone,
-        locals,
-        stack,
-        cut_out,
-        flow,
-        ..
-    } = scratch;
-
-    // 1. Collect the cone of t: internal logic nodes and startpoint leaves.
-    cone.clear();
-    locals.clear();
-    stack.clear();
-    stack.push(t);
-    stamp[t.index()] = epoch;
-    while let Some(u) = stack.pop() {
-        cone.push(u);
-        if let Some(du) = view.dense_of(u) {
-            for &f in view.fanins_of(du) {
-                if stamp[f.index()] != epoch {
-                    stamp[f.index()] = epoch;
-                    stack.push(f);
-                }
-            }
-        }
-    }
-
-    // 2. Local indexing. Collapsed nodes (t and label==p internals) merge
-    //    into the sink.
-    for &u in cone.iter() {
-        let du = view.dense_of(u);
-        let is_collapsed = (u == t || du.map_or(0, |d| labels[d as usize]) == p) && du.is_some();
-        if is_collapsed {
-            local_idx[u.index()] = COLLAPSED;
-        } else {
-            local_idx[u.index()] = locals.len() as u32;
-            locals.push(u);
-        }
-    }
-
-    // Flow network: node 0 = source, node 1 = sink; local node i has
-    // in = 2 + 2i, out = 2 + 2i + 1; in→out capacity 1.
-    let n_nodes = 2 + 2 * locals.len();
-    flow.reset(n_nodes);
-    const INF: i32 = i32::MAX / 2;
-    for (i, &u) in locals.iter().enumerate() {
-        let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
-        flow.add_edge(uin, uout, 1);
-        if !view.is_logic(u) {
-            // Startpoint leaf: fed by the source.
-            flow.add_edge(0, uin, INF);
-        }
-    }
-    // DAG edges within the cone (every fanin of a cone node is in the cone).
-    for &u in cone.iter() {
-        if let Some(du) = view.dense_of(u) {
-            let udst = if local_idx[u.index()] == COLLAPSED {
-                1 // edges into collapsed nodes go to the sink
-            } else {
-                2 + 2 * local_idx[u.index()] as usize
-            };
-            for &f in view.fanins_of(du) {
-                if local_idx[f.index()] == COLLAPSED {
-                    continue; // labels are monotone; S→non-S edges don't occur
-                }
-                let fout = 2 + 2 * local_idx[f.index()] as usize + 1;
-                flow.add_edge(fout, udst, INF);
-            }
-        }
-    }
-    flow.build_adj();
-
-    // 3. Max-flow with early abort once flow exceeds k.
+    scratch.walk_cone(view, labels, t, p, epoch);
     let mut total = 0usize;
-    while total <= k {
-        if flow.augment(0, 1) {
-            total += 1;
-        } else {
-            break;
+    while scratch.augment(view, epoch) {
+        total += 1;
+        if total > k {
+            return false;
         }
     }
-    if total > k {
-        return false;
-    }
-
-    // 4. Min cut. Source-side: nodes whose in-side is reachable from the
-    //    source in the residual graph but whose out-side is not.
-    //    Sink-side (max volume): nodes whose out-side reaches the sink but
-    //    whose in-side does not.
-    cut_out.clear();
     if max_volume {
-        let reach = flow.residual_reaching(1);
-        for (i, &u) in locals.iter().enumerate() {
-            let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
-            if reach[uout] && !reach[uin] {
+        let search = scratch.search;
+        let LabelScratch {
+            marks,
+            cone,
+            cut_out,
+            ..
+        } = scratch;
+        cut_out.clear();
+        for &u in cone.iter() {
+            let m = marks[u.index()];
+            if m.seen_out == search && m.seen_in != search {
                 cut_out.push(u);
             }
         }
     } else {
-        let reach = flow.residual_reachable(0);
-        for (i, &u) in locals.iter().enumerate() {
-            let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
-            if reach[uin] && !reach[uout] {
-                cut_out.push(u);
-            }
-        }
+        scratch.source_side_cut(view, labels, t, p, epoch);
     }
-    debug_assert!(cut_out.len() <= k, "min cut exceeded K");
-    debug_assert!(!cut_out.is_empty(), "empty cut for {t}");
+    debug_assert!(scratch.cut_out.len() <= k, "min cut exceeded K");
+    debug_assert!(!scratch.cut_out.is_empty(), "empty cut for {t}");
     true
-}
-
-/// A small max-flow network (BFS augmenting paths) over reusable buffers.
-///
-/// Edges are recorded flat (`e ^ 1` is the reverse of `e`), then a CSR
-/// adjacency is built in one counting pass — the per-node edge order is
-/// insertion order, exactly like the reference implementation's
-/// `Vec<Vec<usize>>`, so BFS tie-breaking (and therefore the residual
-/// graph and the extracted cut) is identical.
-#[derive(Default)]
-struct FlowScratch {
-    n: usize,
-    from: Vec<u32>,
-    to: Vec<u32>,
-    cap: Vec<i32>,
-    adj_offs: Vec<u32>,
-    adj: Vec<u32>,
-    prev_edge: Vec<u32>,
-    visit: Vec<u32>,
-    vepoch: u32,
-    queue: Vec<u32>,
-    reach: Vec<bool>,
-}
-
-impl FlowScratch {
-    fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.from.clear();
-        self.to.clear();
-        self.cap.clear();
-        if self.visit.len() < n {
-            self.visit.resize(n, 0);
-            self.prev_edge.resize(n, 0);
-        }
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize, cap: i32) {
-        self.from.push(from as u32);
-        self.to.push(to as u32);
-        self.cap.push(cap);
-        self.from.push(to as u32);
-        self.to.push(from as u32);
-        self.cap.push(0);
-    }
-
-    fn build_adj(&mut self) {
-        self.adj_offs.clear();
-        self.adj_offs.resize(self.n + 1, 0);
-        for &f in &self.from {
-            self.adj_offs[f as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            self.adj_offs[i + 1] += self.adj_offs[i];
-        }
-        self.adj.resize(self.from.len(), 0);
-        let mut cursor: Vec<u32> = self.adj_offs[..self.n].to_vec();
-        for (e, &f) in self.from.iter().enumerate() {
-            self.adj[cursor[f as usize] as usize] = e as u32;
-            cursor[f as usize] += 1;
-        }
-    }
-
-    fn next_vepoch(&mut self) -> u32 {
-        if self.vepoch == u32::MAX {
-            self.visit.iter_mut().for_each(|v| *v = 0);
-            self.vepoch = 0;
-        }
-        self.vepoch += 1;
-        self.vepoch
-    }
-
-    /// Pushes one unit of flow along a shortest augmenting path.
-    fn augment(&mut self, s: usize, t: usize) -> bool {
-        let e = self.next_vepoch();
-        self.queue.clear();
-        self.visit[s] = e;
-        self.queue.push(s as u32);
-        let mut head = 0usize;
-        'bfs: while head < self.queue.len() {
-            let u = self.queue[head] as usize;
-            head += 1;
-            for idx in self.adj_offs[u]..self.adj_offs[u + 1] {
-                let ed = self.adj[idx as usize] as usize;
-                let v = self.to[ed] as usize;
-                if self.cap[ed] > 0 && self.visit[v] != e {
-                    self.visit[v] = e;
-                    self.prev_edge[v] = ed as u32;
-                    if v == t {
-                        break 'bfs;
-                    }
-                    self.queue.push(v as u32);
-                }
-            }
-        }
-        if self.visit[t] != e {
-            return false;
-        }
-        // All augmenting paths carry exactly 1 unit (node capacities are 1).
-        let mut v = t;
-        while v != s {
-            let ed = self.prev_edge[v] as usize;
-            self.cap[ed] -= 1;
-            self.cap[ed ^ 1] += 1;
-            v = self.to[ed ^ 1] as usize;
-        }
-        true
-    }
-
-    /// Nodes that can reach `t` through residual-capacity edges.
-    fn residual_reaching(&mut self, t: usize) -> &[bool] {
-        self.reach.clear();
-        self.reach.resize(self.n, false);
-        self.reach[t] = true;
-        // Fixpoint over incoming residual edges (edge u→v with cap > 0
-        // lets u reach whatever v reaches).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for ed in 0..self.to.len() {
-                if self.cap[ed] > 0 {
-                    let u = self.from[ed] as usize;
-                    let v = self.to[ed] as usize;
-                    if self.reach[v] && !self.reach[u] {
-                        self.reach[u] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        &self.reach
-    }
-
-    /// Nodes reachable from `s` in the residual graph.
-    fn residual_reachable(&mut self, s: usize) -> &[bool] {
-        self.reach.clear();
-        self.reach.resize(self.n, false);
-        self.queue.clear();
-        self.queue.push(s as u32);
-        self.reach[s] = true;
-        while let Some(u) = self.queue.pop() {
-            let u = u as usize;
-            for idx in self.adj_offs[u]..self.adj_offs[u + 1] {
-                let ed = self.adj[idx as usize] as usize;
-                let v = self.to[ed] as usize;
-                if self.cap[ed] > 0 && !self.reach[v] {
-                    self.reach[v] = true;
-                    self.queue.push(v as u32);
-                }
-            }
-        }
-        &self.reach
-    }
 }
 
 #[cfg(test)]
@@ -985,13 +1129,127 @@ mod tests {
         assert_eq!(cut, vec![a, b]);
     }
 
+    /// Labels `nl` with the dense labeler and with the reference labeler
+    /// in both cut modes, asserts they agree on every gate's label and
+    /// cut, and returns the view plus the dense max-volume labeling.
+    fn pinned_to_reference(nl: &Netlist, k: usize) -> (CombView, Labeling) {
+        let view = CombView::build(nl).unwrap();
+        for max_volume in [false, true] {
+            let dense = compute_labels(&view, k, max_volume);
+            let (label, cut) = crate::reference::compute_labels_hashmap(&view, k, max_volume);
+            for (d, g) in view.topo.iter().enumerate() {
+                assert_eq!(dense.label_of(d as u32), label[g], "label of {g}");
+                assert_eq!(dense.cut_of(d as u32), &cut[g][..], "cut of {g}");
+            }
+        }
+        let lab = compute_labels(&view, k, true);
+        (view, lab)
+    }
+
+    #[test]
+    fn second_path_cancels_a_dag_arc_and_a_node_arc() {
+        // K = 3. v, w, z, y are label 1; h needs the four inputs, so it is
+        // label 2, and r's test collapses r and h with sink predecessors
+        // w, z and y. The first augmenting path (fanin order) is
+        // a → v → w. z is fed by a alone, so the second path must be
+        // b → w, cancelling the v → w arc, v's in→out arc and the a → v
+        // arc, then a → z.
+        let mut nl = Netlist::new();
+        let [a, b, c, d] = [(); 4].map(|_| nl.input(O));
+        let v = nl.not(a, O);
+        let w = nl.and(v, b, O);
+        let z = nl.not(a, O);
+        let y = nl.and(c, d, O);
+        let h = nl.mux(w, z, y, O);
+        let r = nl.and(h, w, O);
+        nl.add_keep(r, "out");
+        let (view, lab) = pinned_to_reference(&nl, 3);
+        assert_eq!(label_of_gate(&view, &lab, h), 2);
+        assert_eq!(label_of_gate(&view, &lab, r), 2);
+        assert_eq!(cut_of_gate(&view, &lab, r), &[w, y, z]);
+
+        // Replay r's test one augmenting path at a time.
+        let mut s = LabelScratch::new(nl.num_gates());
+        let epoch = s.next_epoch();
+        s.walk_cone(&view, &lab.label, r, 2, epoch);
+        let flows = |s: &LabelScratch, g: GateId| s.marks[g.index()].flow == epoch;
+        let next = |s: &LabelScratch, g: GateId| s.marks[g.index()].next;
+        assert!(s.augment(&view, epoch));
+        assert!(flows(&s, a) && flows(&s, v) && flows(&s, w));
+        assert_eq!(
+            (next(&s, a), next(&s, v)),
+            (v.index() as u32, w.index() as u32)
+        );
+        assert!(s.augment(&view, epoch));
+        assert!(!flows(&s, v), "v's in→out arc was not cancelled");
+        assert_eq!(next(&s, a), z.index() as u32, "a → v was not re-routed");
+        assert_eq!(next(&s, b), w.index() as u32);
+        assert!(s.augment(&view, epoch));
+        assert!(!s.augment(&view, epoch), "max flow is 3");
+    }
+
+    #[test]
+    fn flow_above_k_labels_p_plus_one_with_the_fanin_cut() {
+        // K = 3: x and y are label 1, and with both collapsed the root's
+        // cone still has four inputs.
+        let mut nl = Netlist::new();
+        let [a, b, c, d] = [(); 4].map(|_| nl.input(O));
+        let x = nl.and(a, b, O);
+        let y = nl.and(c, d, O);
+        let root = nl.and(x, y, O);
+        nl.add_keep(root, "out");
+        let (view, lab) = pinned_to_reference(&nl, 3);
+        assert_eq!(label_of_gate(&view, &lab, root), 2);
+        assert_eq!(cut_of_gate(&view, &lab, root), &[x, y]);
+        let (view4, lab4) = pinned_to_reference(&nl, 4);
+        assert_eq!(label_of_gate(&view4, &lab4, root), 1);
+    }
+
+    #[test]
+    fn startpoint_feeding_a_collapsed_node_is_a_cut_candidate() {
+        // K = 3: h = (a∧b)∧(c∧d) is label 2; the root collapses with h and
+        // takes the startpoint e as a direct sink predecessor.
+        let mut nl = Netlist::new();
+        let [a, b, c, d, e] = [(); 5].map(|_| nl.input(O));
+        let x = nl.and(a, b, O);
+        let y = nl.and(c, d, O);
+        let h = nl.and(x, y, O);
+        let root = nl.and(h, e, O);
+        nl.add_keep(root, "out");
+        let (view, lab) = pinned_to_reference(&nl, 3);
+        assert_eq!(label_of_gate(&view, &lab, root), 2);
+        assert_eq!(cut_of_gate(&view, &lab, root), &[e, y, x]);
+        let source_side = compute_labels(&view, 3, false);
+        assert_eq!(cut_of_gate(&view, &source_side, root), &[e, y, x]);
+    }
+
+    #[test]
+    fn gate_seeing_one_fanin_twice() {
+        // mux(a, b, a) keeps both copies of a (only adjacent duplicates
+        // are dropped): parallel arcs below the cut, and h = mux(m, x, m)
+        // repeats a sink predecessor and a fanin-cut member.
+        let mut nl = Netlist::new();
+        let [a, b, c, d] = [(); 4].map(|_| nl.input(O));
+        let m = nl.mux(a, b, a, O);
+        let x = nl.and(c, d, O);
+        let h = nl.mux(m, x, m, O);
+        let root = nl.and(h, m, O);
+        nl.add_keep(root, "out");
+        let (view, lab) = pinned_to_reference(&nl, 3);
+        assert_eq!(view.fanins_of(view.dense_of(m).unwrap()), &[a, b, a]);
+        assert_eq!(label_of_gate(&view, &lab, h), 2);
+        assert_eq!(cut_of_gate(&view, &lab, h), &[m, x, m]);
+        assert_eq!(label_of_gate(&view, &lab, root), 2);
+        assert_eq!(cut_of_gate(&view, &lab, root), &[m, x]);
+    }
+
     #[test]
     fn parallel_labeling_is_bit_identical() {
-        // Wide level: 64 independent AND trees, then a reduction — enough
-        // gates per level to trigger the parallel path at jobs > 1.
+        // Wide levels: 1024 independent AND trees, then a reduction —
+        // enough gates per level to trigger the parallel path at jobs > 1.
         let mut nl = Netlist::new();
         let mut roots = Vec::new();
-        for _ in 0..64 {
+        for _ in 0..PAR_MIN_GATES {
             let ins: Vec<GateId> = (0..4).map(|_| nl.input(O)).collect();
             roots.push(nl.and_tree(&ins, O));
         }
@@ -1002,6 +1260,7 @@ mod tests {
             let (serial, s1) = compute_labels_seeded(&view, 4, mv, None, 1);
             for jobs in [2usize, 3, 8] {
                 let (par, sj) = compute_labels_seeded(&view, 4, mv, None, jobs);
+                assert!(s1.flow_visits > 0);
                 assert_eq!(s1, sj, "stats diverge at jobs={jobs}");
                 for d in 0..view.num_logic() as u32 {
                     assert_eq!(serial.label_of(d), par.label_of(d), "label at {d}");

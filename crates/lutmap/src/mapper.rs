@@ -16,8 +16,10 @@ use dataflow::UnitId;
 use netlist::{GateId, GateKind, Netlist, NetlistMatching, Origin};
 use std::fmt;
 
-/// Minimum LUT count before packing is fanned out over threads.
-const PACK_PAR_MIN: usize = 64;
+/// Minimum LUT count before packing is fanned out over threads. Packing
+/// two workers' halves of a cover the size of the largest Table I kernel
+/// (~3k LUTs) measured slower than packing it serially on a 2-core VM.
+const PACK_PAR_MIN: usize = 4096;
 
 /// Options for [`map_netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -555,6 +557,35 @@ mod tests {
         assert_eq!(seeded_stats.luts_packed, fresh_stats.luts_packed);
         // Bit-identical cover.
         assert!(fresh.bit_identical(&seeded));
+    }
+
+    #[test]
+    fn parallel_packing_is_bit_identical() {
+        // One kept XOR per input pair: a cover wide enough to take the
+        // parallel packing path at jobs > 1.
+        let mut nl = Netlist::new();
+        for i in 0..PACK_PAR_MIN {
+            let a = nl.input(O);
+            let b = nl.input(O);
+            let x = nl.xor(a, b, O);
+            nl.add_keep(x, format!("x{i}"));
+        }
+        let serial = map_netlist(&nl, &opts(6, true)).unwrap();
+        assert_eq!(serial.num_luts(), PACK_PAR_MIN);
+        for jobs in [2usize, 3] {
+            let par = map_netlist(
+                &nl,
+                &MapOptions {
+                    jobs,
+                    ..opts(6, true)
+                },
+            )
+            .unwrap();
+            assert!(
+                par.bit_identical(&serial),
+                "packing diverged at jobs={jobs}"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub fn map_netlist_reference(nl: &Netlist, opts: &MapOptions) -> Result<LutNetwo
 /// Serial FlowMap labeling with per-gate map/flow allocations — the
 /// original hot loop.
 #[allow(clippy::type_complexity)]
-fn compute_labels_hashmap(
+pub(crate) fn compute_labels_hashmap(
     view: &CombView,
     k: usize,
     max_volume: bool,

@@ -10,9 +10,10 @@
 # Defaults: 3 repeats per lane (min reported), headline jobs 4,
 # BENCH_synth.json in the repo root. With --baseline (typically the
 # committed BENCH_synth.json), the run fails if any kernel's LUT count
-# or total cut-input count drifts by more than 10% from the baseline —
-# the baseline is read before --out is overwritten, so both may name the
-# same file.
+# or total cut-input count drifts by more than 10% from the baseline, or
+# if its flow_visits (the labeler's residual-search work counter) rises
+# by more than 10% — the baseline is read before --out is overwritten,
+# so both may name the same file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

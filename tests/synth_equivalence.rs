@@ -4,14 +4,19 @@
 //! gate, and seed reuse must never change a mapping — in both cut modes.
 //! At the flow level, [`FlowOptions::jobs`] may only change wall clock:
 //! buffers, levels, iteration history and every deterministic trace
-//! counter must be identical at jobs 1, 2 and 8.
+//! counter must be identical at jobs 1, 2 and 8. The mapper's BLIF input
+//! surface is fuzzed too: mutated BLIF either maps or fails with a
+//! structured error.
 
 use frequenz::core::{
-    optimize_baseline_with_cache, optimize_iterative_with_cache, FlowOptions, FlowTrace, SynthCache,
+    apply_buffers, optimize_baseline_with_cache, optimize_iterative_with_cache, FlowOptions,
+    FlowTrace, SynthCache,
 };
 use frequenz::hls::kernels;
 use frequenz::lutmap::{map_netlist, map_netlist_reference, map_netlist_with_seed, MapOptions};
-use frequenz::netlist::{match_netlists, GateId, Netlist, Origin};
+use frequenz::netlist::{
+    elaborate, match_netlists, read_blif, write_blif, GateId, Netlist, Origin,
+};
 use proptest::prelude::*;
 
 /// One random gate recipe: an operator over earlier pool entries.
@@ -55,6 +60,111 @@ fn build(n_inputs: usize, rs: &[R]) -> Netlist {
     }
     nl.optimize();
     nl
+}
+
+/// One edit of a BLIF text: indices wrap modulo the line or token count.
+#[derive(Debug, Clone)]
+enum Edit {
+    DropLine(usize),
+    DupLine(usize),
+    SwapLines(usize, usize),
+    DropToken(usize, usize),
+    DupToken(usize, usize),
+    SwapTokens((usize, usize), (usize, usize)),
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        any::<usize>().prop_map(Edit::DropLine),
+        any::<usize>().prop_map(Edit::DupLine),
+        (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Edit::SwapLines(a, b)),
+        (any::<usize>(), any::<usize>()).prop_map(|(l, t)| Edit::DropToken(l, t)),
+        (any::<usize>(), any::<usize>()).prop_map(|(l, t)| Edit::DupToken(l, t)),
+        (
+            any::<usize>(),
+            any::<usize>(),
+            any::<usize>(),
+            any::<usize>()
+        )
+            .prop_map(|(a, i, b, j)| Edit::SwapTokens((a, i), (b, j))),
+    ]
+}
+
+/// Applies `edits` to `text`, line- and whitespace-token-wise.
+fn mutate(text: &str, edits: &[Edit]) -> String {
+    let mut lines: Vec<Vec<String>> = text
+        .lines()
+        .map(|l| l.split_whitespace().map(str::to_string).collect())
+        .collect();
+    for e in edits {
+        if lines.is_empty() {
+            break;
+        }
+        let n = lines.len();
+        match *e {
+            Edit::DropLine(l) => {
+                lines.remove(l % n);
+            }
+            Edit::DupLine(l) => {
+                let line = lines[l % n].clone();
+                lines.insert(l % n, line);
+            }
+            Edit::SwapLines(a, b) => lines.swap(a % n, b % n),
+            Edit::DropToken(l, t) => {
+                let line = &mut lines[l % n];
+                if !line.is_empty() {
+                    let t = t % line.len();
+                    line.remove(t);
+                }
+            }
+            Edit::DupToken(l, t) => {
+                let line = &mut lines[l % n];
+                if !line.is_empty() {
+                    let t = t % line.len();
+                    let tok = line[t].clone();
+                    line.insert(t, tok);
+                }
+            }
+            Edit::SwapTokens((a, i), (b, j)) => {
+                let (a, b) = (a % n, b % n);
+                if lines[a].is_empty() || lines[b].is_empty() {
+                    continue;
+                }
+                let (i, j) = (i % lines[a].len(), j % lines[b].len());
+                let tok = std::mem::take(&mut lines[a][i]);
+                lines[a][i] = std::mem::replace(&mut lines[b][j], tok);
+            }
+        }
+    }
+    lines.iter().map(|l| l.join(" ") + "\n").collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The mapper's BLIF input surface: a mutated `write_blif` text of a
+    /// random netlist (with a register, so `.latch` lines occur) either
+    /// maps or fails with a structured `BlifError` or `MapError`, never
+    /// a panic.
+    #[test]
+    fn mutated_blif_maps_or_fails_with_a_structured_error(
+        n_inputs in 1usize..6,
+        rs in prop::collection::vec(recipe(), 1..30),
+        edits in prop::collection::vec(edit(), 1..6),
+    ) {
+        let mut nl = build(n_inputs, &rs);
+        let q = nl.reg(nl.keeps()[0].0, Origin::External);
+        nl.add_keep(q, "q");
+        let mut blif = Vec::new();
+        write_blif(&nl, "fuzz", &mut blif).expect("in-memory write");
+        let text = mutate(std::str::from_utf8(&blif).expect("BLIF is ASCII"), &edits);
+        let outcome = std::panic::catch_unwind(|| {
+            let nl = read_blif(text.as_bytes()).map_err(|e| e.to_string())?;
+            let opts = MapOptions { k: 6, area_recovery: true, jobs: 1 };
+            map_netlist(&nl, &opts).map(|_| ()).map_err(|e| e.to_string())
+        });
+        prop_assert!(outcome.is_ok(), "panicked on BLIF:\n{text}");
+    }
 }
 
 proptest! {
@@ -248,4 +358,58 @@ fn flow_outcome_is_jobs_invariant() {
     for h in handles {
         h.join().expect("kernel thread");
     }
+}
+
+/// The dense mapper against the reference oracle on real circuits: every
+/// reduced kernel's elaborated netlist, and the same kernel with the
+/// buffers one iteration of the iterative flow placed, in both cut modes.
+#[test]
+fn dense_mapper_matches_reference_on_kernel_netlists() {
+    let handles: Vec<_> = kernels::all_kernels_small()
+        .into_iter()
+        .map(|k| {
+            std::thread::spawn(move || {
+                let one_iteration = FlowOptions {
+                    max_iterations: 1,
+                    ..test_opts(1)
+                };
+                let flow = optimize_iterative_with_cache(
+                    k.graph(),
+                    k.back_edges(),
+                    &one_iteration,
+                    &SynthCache::new(),
+                )
+                .expect("iterative flow");
+                let seeded = k.seeded_graph();
+                let buffered = apply_buffers(&seeded, &flow.buffers);
+                for (what, g) in [("seeded", seeded), ("buffered", buffered)] {
+                    let mut nl = elaborate(&g).expect("kernel graphs are valid").netlist;
+                    nl.optimize();
+                    for area_recovery in [true, false] {
+                        let opts = MapOptions {
+                            k: 6,
+                            area_recovery,
+                            jobs: 1,
+                        };
+                        let dense = map_netlist(&nl, &opts).expect("acyclic");
+                        let reference = map_netlist_reference(&nl, &opts).expect("acyclic");
+                        assert!(
+                            dense.bit_identical(&reference),
+                            "{} ({what}, area_recovery={area_recovery}): dense mapper diverged",
+                            k.name
+                        );
+                    }
+                }
+                flow.buffers.len() > k.back_edges().len()
+            })
+        })
+        .collect();
+    let mut any_buffered = false;
+    for h in handles {
+        any_buffered |= h.join().expect("kernel thread");
+    }
+    assert!(
+        any_buffered,
+        "no kernel gained buffers beyond its back edges — the buffered netlists add nothing"
+    );
 }
