@@ -1,7 +1,8 @@
 //! Benchmarks the MILP solver engines on the nine kernels' *real*
-//! buffer-placement models (the Eq. 3 seed model of the first cut round),
-//! comparing the sparse revised simplex against the legacy dense tableau
-//! and checking that branch-and-bound is bit-identical across job counts.
+//! buffer-placement models (the Eq. 3 seed model of the first lazy
+//! covering round), comparing the sparse revised simplex against the
+//! legacy dense tableau and checking that branch-and-bound is
+//! bit-identical across job counts.
 //!
 //! ```sh
 //! cargo run -p frequenz-bench --release --bin bench_milp -- \
@@ -9,7 +10,7 @@
 //! ```
 //!
 //! Writes `BENCH_milp.json` (per-kernel model sizes, engine wall clocks,
-//! speedups, pivot/refactorization/node/cut counters, warm-start adoption,
+//! speedups, pivot/refactorization/node counters, warm-start adoption,
 //! and the jobs-sweep identity verdict) and prints a table. Each engine
 //! solves every model `--repeats` times (default 3) and the minimum wall
 //! clock is reported.
@@ -98,12 +99,11 @@ fn time_solve(model: &Model, repeats: usize) -> Result<(f64, Solution), CompareE
     Ok((best, sol.expect("at least one repeat ran")))
 }
 
-fn bits(s: &Solution) -> (u64, u64, u64, u64, u64, Vec<u64>) {
+fn bits(s: &Solution) -> (u64, u64, u64, u64, Vec<u64>) {
     (
         s.nodes,
         s.pivots,
         s.nodes_pruned,
-        s.cuts,
         s.objective.to_bits(),
         s.values.iter().map(|v| v.to_bits()).collect(),
     )
@@ -188,7 +188,7 @@ fn main() -> Result<(), CompareError> {
         kernels.len()
     );
     println!(
-        "{:<15} | {:>5} {:>5} {:>5} | {:>9} {:>9} {:>7} | {:>8} {:>8} {:>6} {:>5} | {:>6} {:>8} {:>6}",
+        "{:<15} | {:>5} {:>5} {:>5} | {:>9} {:>9} {:>7} | {:>8} {:>8} {:>6} | {:>6} {:>8} {:>6}",
         "Benchmark",
         "vars",
         "rows",
@@ -199,7 +199,6 @@ fn main() -> Result<(), CompareError> {
         "dPivots",
         "sPivots",
         "nodes",
-        "cuts",
         "wNodes",
         "wPivots",
         "wDual"
@@ -262,7 +261,7 @@ fn main() -> Result<(), CompareError> {
         }
 
         println!(
-            "{:<15} | {:>5} {:>5} {:>5} | {:>9.4} {:>9.4} {:>6.2}x | {:>8} {:>8} {:>6} {:>5} | {:>6} {:>8} {:>6}",
+            "{:<15} | {:>5} {:>5} {:>5} | {:>9.4} {:>9.4} {:>6.2}x | {:>8} {:>8} {:>6} | {:>6} {:>8} {:>6}",
             kernel.name,
             model.num_vars(),
             rows_before,
@@ -273,7 +272,6 @@ fn main() -> Result<(), CompareError> {
             dense.pivots,
             sparse.pivots,
             sparse.nodes,
-            sparse.cuts,
             warm.nodes,
             warm.pivots,
             warm.dual_pivots,
@@ -331,8 +329,7 @@ fn main() -> Result<(), CompareError> {
             "    {{\"name\": \"{}\", \"vars\": {}, \"rows\": {}, \"rows_canonicalized\": {}, \
              \"dense_s\": {:.6}, \"sparse_s\": {:.6}, \"speedup\": {:.3}, \
              \"dense_pivots\": {}, \"sparse_pivots\": {}, \"sparse_refactors\": {}, \
-             \"nodes\": {}, \"cuts\": {}, \"bounds_tightened\": {}, \"nodes_pruned\": {}, \
-             \"cut_score_rejected\": {}, \
+             \"nodes\": {}, \"bounds_tightened\": {}, \"nodes_pruned\": {}, \
              \"warm_start_hit\": {}, \"warm_nodes\": {}, \"warm_pivots\": {}, \
              \"dual_pivots\": {}, \
              \"objective\": {:.6}, \"dense_truncated\": {}, \
@@ -348,10 +345,8 @@ fn main() -> Result<(), CompareError> {
             r.sparse.pivots,
             r.sparse.refactors,
             r.sparse.nodes,
-            r.sparse.cuts,
             r.sparse.presolve.bounds_tightened,
             r.sparse.nodes_pruned,
-            r.sparse.cut_score_rejected,
             r.warm.warm_used,
             r.warm.nodes,
             r.warm.pivots,

@@ -351,20 +351,19 @@ pub fn run_table1_jobs(
     }
     // MILP solver breakdown of the iterative flow: sparse revised simplex
     // work (pivots, refactorizations), branch-and-bound nodes (explored vs
-    // pruned by bound), rows removed by model canonicalization, root
-    // strengthening (cuts, presolve bound tightenings), cross-iteration
-    // warm-start adoptions, and — for both flows — the solves that ended
-    // on an unproven incumbent out of all solves.
+    // pruned by bound), rows removed by model canonicalization, presolve
+    // bound tightenings, cross-iteration warm-start adoptions, and — for
+    // both flows — the solves that ended on an unproven incumbent out of
+    // all solves.
     println!();
     println!(
-        "{:<15} | {:>8} {:>9} {:>6} {:>8} | {:>8} | {:>5} {:>6} {:>7} {:>8} | {:>8} {:>8}",
+        "{:<15} | {:>8} {:>9} {:>6} {:>8} | {:>8} | {:>6} {:>7} {:>8} | {:>8} {:>8}",
         "Benchmark",
         "milp(s)",
         "pivots",
         "nodes",
         "refactor",
         "rowsDrop",
-        "cuts",
         "pruned",
         "tighten",
         "warmH/M",
@@ -374,14 +373,13 @@ pub fn run_table1_jobs(
     for c in &rows {
         let t = &c.iter_trace;
         println!(
-            "{:<15} | {:>8.2} {:>9} {:>6} {:>8} | {:>8} | {:>5} {:>6} {:>7} {:>8} | {:>8} {:>8}",
+            "{:<15} | {:>8.2} {:>9} {:>6} {:>8} | {:>8} | {:>6} {:>7} {:>8} | {:>8} {:>8}",
             c.name,
             t.milp.as_secs_f64(),
             t.milp_pivots,
             t.milp_nodes,
             t.milp_refactors,
             t.milp_rows_dropped,
-            t.milp_cuts,
             t.milp_nodes_pruned,
             t.milp_bounds_tightened,
             format!("{}/{}", t.milp_warm_hits, t.milp_warm_misses),
@@ -478,7 +476,7 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
              \"synth_full_s\": {:.3}, \"synth_incr_s\": {:.3}, \
              \"milp_s\": {:.3}, \"milp_pivots\": {}, \"milp_nodes\": {}, \
              \"milp_refactors\": {}, \"milp_rows_dropped\": {}, \
-             \"milp_cuts\": {}, \"milp_cut_rounds\": {}, \"milp_nodes_pruned\": {}, \
+             \"milp_nodes_pruned\": {}, \
              \"milp_bounds_tightened\": {}, \"milp_warm_hits\": {}, \
              \"milp_warm_misses\": {}, \"milp_solves\": {}, \"milp_truncated\": {}, \
              \"milp_fallbacks\": {}, \"prev_milp_solves\": {}, \"prev_milp_truncated\": {}, \
@@ -514,8 +512,6 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
             t.milp_nodes,
             t.milp_refactors,
             t.milp_rows_dropped,
-            t.milp_cuts,
-            t.milp_cut_rounds,
             t.milp_nodes_pruned,
             t.milp_bounds_tightened,
             t.milp_warm_hits,
@@ -613,8 +609,6 @@ mod tests {
             milp_nodes: 7,
             milp_refactors: 2,
             milp_rows_dropped: 15,
-            milp_cuts: 21,
-            milp_cut_rounds: 5,
             milp_nodes_pruned: 6,
             milp_bounds_tightened: 44,
             milp_warm_hits: 2,
@@ -664,8 +658,6 @@ mod tests {
         assert!(j.contains("\"milp_nodes\": 7"));
         assert!(j.contains("\"milp_refactors\": 2"));
         assert!(j.contains("\"milp_rows_dropped\": 15"));
-        assert!(j.contains("\"milp_cuts\": 21"));
-        assert!(j.contains("\"milp_cut_rounds\": 5"));
         assert!(j.contains("\"milp_nodes_pruned\": 6"));
         assert!(j.contains("\"milp_bounds_tightened\": 44"));
         assert!(j.contains("\"milp_warm_hits\": 2"));

@@ -39,7 +39,10 @@ pub struct FlowOptions {
     pub max_cfdfcs: usize,
     /// Cycle budget of the CFDFC profiling simulation.
     pub sim_budget: u64,
-    /// Cut-generation rounds per MILP solve.
+    /// Lazy critical-path covering rounds per placement call: each round
+    /// adds a covering row for every newly found path over the level
+    /// target and re-solves the placement MILP (see
+    /// [`PlacementProblem::max_cut_rounds`](crate::PlacementProblem::max_cut_rounds)).
     pub max_cut_rounds: usize,
     /// Levels reserved for the control logic a buffer itself inserts
     /// (TEHB/OEHB handshake gates): the MILP regulates paths to

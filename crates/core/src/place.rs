@@ -64,7 +64,11 @@ pub struct PlacementProblem<'a> {
     pub alpha: f64,
     /// Buffer-cost weight β.
     pub beta: f64,
-    /// Cut-generation round limit.
+    /// Cap on lazy critical-path covering rounds: after each MILP solve the
+    /// timing model's over-long paths under the chosen buffers become new
+    /// covering rows ("at least `need` of these channels carry a buffer")
+    /// and the model is re-solved, until no path is left or this many
+    /// rounds have run.
     pub max_cut_rounds: usize,
     /// The objective to optimize.
     pub objective: Objective,
@@ -77,28 +81,27 @@ pub struct PlacementResult {
     pub buffers: Vec<ChannelId>,
     /// Predicted throughput per CFDFC (same order as the input).
     pub throughputs: Vec<f64>,
-    /// Cut rounds used.
+    /// Lazy critical-path covering rounds run (each one re-solved the MILP
+    /// with new covering rows; see [`PlacementProblem::max_cut_rounds`]).
     pub cut_rounds: usize,
     /// Levels of paths the solver could not break (no breakable channel).
     pub unbreakable_levels: Vec<u32>,
     /// Final objective value.
     pub objective: f64,
-    /// Simplex pivots across all MILP solves (including cut rounds and the
-    /// LP-rounding fallback) — the deterministic work actually spent.
+    /// Simplex pivots across all MILP solves (including covering rounds and
+    /// the LP-rounding fallback) — the deterministic work actually spent.
     pub milp_pivots: u64,
     /// Basis refactorizations across all MILP solves (sparse engine).
     pub milp_refactors: u64,
     /// Branch-and-bound nodes across all MILP solves.
     pub milp_nodes: u64,
     /// Constraint rows removed by [`milp::Model::canonicalize`] across all
-    /// cut rounds (duplicate, bound-implied, and empty rows).
+    /// covering rounds (duplicate, bound-implied, and empty rows).
     pub milp_rows_dropped: u64,
-    /// Gomory + cover cutting planes added at root nodes across all MILP
-    /// solves.
+    /// Always 0 since root cuts were removed from the MILP solver: it
+    /// separates no cutting planes of its own. Kept because the end-to-end
+    /// benchmark still reads the field.
     pub milp_cuts: u64,
-    /// Root cut-separation rounds consumed (distinct from the lazy
-    /// clock-period `cut_rounds` above, which rebuild the model).
-    pub milp_cut_rounds: u64,
     /// Open branch-and-bound nodes discarded by the incumbent bound at pop
     /// time (never LP-solved).
     pub milp_nodes_pruned: u64,
@@ -110,7 +113,7 @@ pub struct PlacementResult {
     /// the store had no entry yet, or the remapped entry failed the
     /// solver's revalidation. Zero when no store was supplied.
     pub milp_warm_misses: u64,
-    /// MILP solves started (one per lazy cut round).
+    /// MILP solves started (one per covering round).
     pub milp_solves: u64,
     /// Solves whose branch and bound hit its node or pivot budget and
     /// returned an unproven incumbent.
@@ -487,8 +490,6 @@ pub fn place_buffers_warm(
         out.milp_pivots += sol.pivots;
         out.milp_refactors += sol.refactors;
         out.milp_nodes += sol.nodes;
-        out.milp_cuts += sol.cuts;
-        out.milp_cut_rounds += sol.cut_rounds;
         out.milp_nodes_pruned += sol.nodes_pruned;
         out.milp_bounds_tightened += sol.presolve.bounds_tightened as u64;
         // Only cross-call *store* adoptions count as warm hits; the

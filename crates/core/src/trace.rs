@@ -4,8 +4,8 @@
 //! [`optimize_baseline`](crate::optimize_baseline)) records where its wall
 //! clock went — synthesis, LUT→DFG mapping, timing-model construction,
 //! MILP solving, slack matching — together with the synthesis-cache
-//! hit/miss counts and the MILP cut rounds consumed. The trace rides on
-//! [`FlowResult`](crate::FlowResult) and is printed by the bench
+//! hit/miss counts and the placement solver's work counters. The trace
+//! rides on [`FlowResult`](crate::FlowResult) and is printed by the bench
 //! binaries, giving performance work a baseline to regress against.
 
 use crate::place::PlacementResult;
@@ -34,10 +34,13 @@ pub struct FlowTrace {
     pub cache_hits: u64,
     /// Synthesis requests that ran a real synthesis.
     pub cache_misses: u64,
-    /// Total MILP cut-generation rounds across all iterations.
+    /// Lazy critical-path covering rounds across all placement calls: each
+    /// round adds the covering rows of newly found over-long paths and
+    /// re-solves the placement MILP.
     pub cut_rounds: usize,
-    /// Simplex pivots spent by the placement MILPs (all iterations and cut
-    /// rounds) — the deterministic work measure behind the pivot budget.
+    /// Simplex pivots spent by the placement MILPs (all iterations and
+    /// covering rounds) — the deterministic work measure behind the pivot
+    /// budget.
     pub milp_pivots: u64,
     /// Basis refactorizations performed by the sparse revised simplex.
     pub milp_refactors: u64,
@@ -45,23 +48,18 @@ pub struct FlowTrace {
     pub milp_nodes: u64,
     /// Constraint rows removed by model canonicalization before solving.
     pub milp_rows_dropped: u64,
-    /// Gomory + cover cuts added at MILP root nodes.
-    pub milp_cuts: u64,
-    /// Root cut-separation rounds consumed by the MILP solver (distinct
-    /// from the lazy clock-period `cut_rounds`, which rebuild the model).
-    pub milp_cut_rounds: u64,
     /// Branch-and-bound nodes pruned by the incumbent bound before their
     /// LP was ever solved.
     pub milp_nodes_pruned: u64,
     /// Variable bounds tightened by MILP presolve.
     pub milp_bounds_tightened: u64,
     /// Placement solves that adopted a warm-start basis from a previous
-    /// iteration (or lazy cut round) of the same placement problem.
+    /// iteration (or covering round) of the same placement problem.
     pub milp_warm_hits: u64,
     /// Placement-store lookups that did *not* end in an adopted warm start
     /// (empty store, or the remapped entry failed revalidation).
     pub milp_warm_misses: u64,
-    /// Placement MILP solves started (one per lazy cut round).
+    /// Placement MILP solves started (one per covering round).
     pub milp_solves: u64,
     /// Placement solves that hit their node or pivot budget and returned
     /// an unproven incumbent.
@@ -175,8 +173,6 @@ impl FlowTrace {
         self.milp_refactors += p.milp_refactors;
         self.milp_nodes += p.milp_nodes;
         self.milp_rows_dropped += p.milp_rows_dropped;
-        self.milp_cuts += p.milp_cuts;
-        self.milp_cut_rounds += p.milp_cut_rounds;
         self.milp_nodes_pruned += p.milp_nodes_pruned;
         self.milp_bounds_tightened += p.milp_bounds_tightened;
         self.milp_warm_hits += p.milp_warm_hits;
@@ -202,8 +198,6 @@ impl FlowTrace {
         self.milp_refactors += other.milp_refactors;
         self.milp_nodes += other.milp_nodes;
         self.milp_rows_dropped += other.milp_rows_dropped;
-        self.milp_cuts += other.milp_cuts;
-        self.milp_cut_rounds += other.milp_cut_rounds;
         self.milp_nodes_pruned += other.milp_nodes_pruned;
         self.milp_bounds_tightened += other.milp_bounds_tightened;
         self.milp_warm_hits += other.milp_warm_hits;
@@ -236,7 +230,7 @@ impl fmt::Display for FlowTrace {
             f,
             "synth {:.2}s (full {:.2}s + incr {:.2}s) | map {:.2}s | timing {:.2}s | \
              milp {:.2}s ({} pivots, {} nodes, {} refactors, {} rows dropped, \
-             {} cuts/{} rounds, {} pruned, {} bounds tightened, \
+             {} pruned, {} bounds tightened, \
              {} warm hits/{} misses, {} truncated + {} fallbacks/{} solves) | \
              slack {:.2}s ({} trials, {} pruned) | \
              sim {:.2}s ({} runs, {} cycles, {} compiles) | \
@@ -254,8 +248,6 @@ impl fmt::Display for FlowTrace {
             self.milp_nodes,
             self.milp_refactors,
             self.milp_rows_dropped,
-            self.milp_cuts,
-            self.milp_cut_rounds,
             self.milp_nodes_pruned,
             self.milp_bounds_tightened,
             self.milp_warm_hits,
@@ -328,8 +320,6 @@ mod tests {
             milp_refactors: 2,
             milp_nodes: 9,
             milp_rows_dropped: 11,
-            milp_cuts: 6,
-            milp_cut_rounds: 2,
             milp_nodes_pruned: 4,
             milp_bounds_tightened: 13,
             milp_warm_hits: 3,
@@ -362,8 +352,6 @@ mod tests {
         assert_eq!(a.milp_refactors, 2);
         assert_eq!(a.milp_nodes, 9);
         assert_eq!(a.milp_rows_dropped, 11);
-        assert_eq!(a.milp_cuts, 6);
-        assert_eq!(a.milp_cut_rounds, 2);
         assert_eq!(a.milp_nodes_pruned, 4);
         assert_eq!(a.milp_bounds_tightened, 13);
         assert_eq!(a.milp_warm_hits, 3);
@@ -396,15 +384,13 @@ mod tests {
             milp_refactors: 3,
             milp_nodes: 4,
             milp_rows_dropped: 5,
-            milp_cuts: 6,
-            milp_cut_rounds: 7,
-            milp_nodes_pruned: 8,
-            milp_bounds_tightened: 9,
-            milp_warm_hits: 10,
-            milp_warm_misses: 11,
-            milp_solves: 12,
-            milp_truncated: 13,
-            milp_fallbacks: 14,
+            milp_nodes_pruned: 6,
+            milp_bounds_tightened: 7,
+            milp_warm_hits: 8,
+            milp_warm_misses: 9,
+            milp_solves: 10,
+            milp_truncated: 11,
+            milp_fallbacks: 12,
             ..PlacementResult::default()
         };
         let mut t = FlowTrace::default();
@@ -416,8 +402,6 @@ mod tests {
             t.milp_refactors,
             t.milp_nodes,
             t.milp_rows_dropped,
-            t.milp_cuts,
-            t.milp_cut_rounds,
             t.milp_nodes_pruned,
             t.milp_bounds_tightened,
             t.milp_warm_hits,
@@ -426,7 +410,7 @@ mod tests {
             t.milp_truncated,
             t.milp_fallbacks,
         ];
-        let want: Vec<u64> = (1..=14).map(|v| 2 * v).collect();
+        let want: Vec<u64> = (1..=12).map(|v| 2 * v).collect();
         assert_eq!(got.to_vec(), want);
     }
 

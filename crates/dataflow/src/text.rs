@@ -25,19 +25,35 @@ use crate::{BufferSpec, Graph, GraphError, MemoryId, OpKind, PortRef, UnitId, Un
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Errors from parsing the `.dfg` format.
+/// Errors from parsing the `.dfg` format. Every variant names the 1-based
+/// line it arose on; a problem found at the end of input (no `dfg` header
+/// at all) names the line one past the last.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ParseDfgError {
-    /// A malformed line, with its 1-based number and an explanation.
+    /// A malformed line and an explanation.
     Syntax {
         /// Line number.
         line: usize,
         /// Explanation.
         message: String,
     },
-    /// Graph construction rejected the parsed content.
-    Graph(GraphError),
+    /// Graph construction rejected the content of a line.
+    Graph {
+        /// Line number.
+        line: usize,
+        /// What graph construction rejected.
+        error: GraphError,
+    },
+}
+
+impl ParseDfgError {
+    /// The 1-based line the error arose on.
+    pub fn line(&self) -> usize {
+        match *self {
+            ParseDfgError::Syntax { line, .. } | ParseDfgError::Graph { line, .. } => line,
+        }
+    }
 }
 
 impl fmt::Display for ParseDfgError {
@@ -46,18 +62,14 @@ impl fmt::Display for ParseDfgError {
             ParseDfgError::Syntax { line, message } => {
                 write!(f, "dfg syntax error at line {line}: {message}")
             }
-            ParseDfgError::Graph(e) => write!(f, "dfg graph error: {e}"),
+            ParseDfgError::Graph { line, error } => {
+                write!(f, "dfg graph error at line {line}: {error}")
+            }
         }
     }
 }
 
 impl std::error::Error for ParseDfgError {}
-
-impl From<GraphError> for ParseDfgError {
-    fn from(e: GraphError) -> Self {
-        ParseDfgError::Graph(e)
-    }
-}
 
 fn kind_token(kind: &UnitKind) -> String {
     match *kind {
@@ -84,13 +96,12 @@ fn kind_token(kind: &UnitKind) -> String {
 
 fn parse_kind(tok: &str, line: usize) -> Result<UnitKind, ParseDfgError> {
     let syntax = |message: String| ParseDfgError::Syntax { line, message };
-    let bracket = |t: &str| -> Option<(String, String)> {
-        let open = t.find('[')?;
-        let close = t.rfind(']')?;
-        Some((t[..open].to_string(), t[open + 1..close].to_string()))
-    };
-    if let Some((base, arg)) = bracket(tok) {
-        return Ok(match base.as_str() {
+    // `base[arg]`: the bracket closes the token.
+    let bracket = tok
+        .split_once('[')
+        .and_then(|(base, rest)| Some((base, rest.strip_suffix(']')?)));
+    if let Some((base, arg)) = bracket {
+        return Ok(match base {
             "const" => UnitKind::Constant {
                 value: arg
                     .parse()
@@ -219,6 +230,10 @@ impl Graph {
                 line: lineno,
                 message,
             };
+            let graph = |error: GraphError| ParseDfgError::Graph {
+                line: lineno,
+                error,
+            };
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
@@ -226,8 +241,14 @@ impl Graph {
             let mut toks = line.split_whitespace();
             match toks.next() {
                 Some("dfg") => {
+                    if g.is_some() {
+                        return Err(syntax("second `dfg` header".into()));
+                    }
                     let name = toks.next().ok_or_else(|| syntax("missing name".into()))?;
                     g = Some(Graph::new(name));
+                }
+                Some("end") if g.is_none() => {
+                    return Err(syntax("`end` before `dfg` header".into()));
                 }
                 Some("end") => break,
                 Some(directive) => {
@@ -289,7 +310,8 @@ impl Graph {
                                     .strip_prefix('w')
                                     .and_then(|t| t.parse().ok())
                                     .ok_or_else(|| syntax(format!("bad width {w_tok:?}")))?;
-                            g.add_unit(kind, name, crate::BasicBlockId::from_raw(bb), width)?;
+                            g.add_unit(kind, name, crate::BasicBlockId::from_raw(bb), width)
+                                .map_err(graph)?;
                         }
                         "chan" => {
                             let parse_port = |t: &str| -> Option<PortRef> {
@@ -310,7 +332,7 @@ impl Graph {
                                 .ok_or_else(|| syntax(format!("bad port {src_tok:?}")))?;
                             let dst = parse_port(dst_tok)
                                 .ok_or_else(|| syntax(format!("bad port {dst_tok:?}")))?;
-                            let ch = g.connect(src, dst)?;
+                            let ch = g.connect(src, dst).map_err(graph)?;
                             if toks.next() == Some("buf") {
                                 let spec = match toks.next() {
                                     Some("OB+TB") => BufferSpec::FULL,
@@ -328,8 +350,8 @@ impl Graph {
             }
         }
         g.ok_or(ParseDfgError::Syntax {
-            line: 0,
-            message: "empty input".into(),
+            line: text.lines().count() + 1,
+            message: "no `dfg` header before end of input".into(),
         })
     }
 }

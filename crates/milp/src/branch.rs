@@ -2,12 +2,9 @@
 //! integer variables.
 //!
 //! The root LP is solved first (optionally warm-started from a previous
-//! solve via [`crate::warm::WarmStart`]), then strengthened by a
-//! round-limited loop of Gomory mixed-integer and knapsack cover cuts
-//! ([`crate::cuts`]), each round re-solved from the previous round's basis
-//! (the appended cut row extends the system strictly at the end, so the
-//! basis carries over with one warm phase-1 step). Branch & bound then
-//! runs on the cut-augmented model.
+//! solve via [`crate::warm::WarmStart`]); its optimum seeds an incumbent
+//! by rounding/repair or one diving LP, and branch & bound then runs on
+//! the (presolved) model itself.
 //!
 //! # Best-first search
 //!
@@ -41,9 +38,7 @@
 //! [`SolveError::NodeLimit`] when no incumbent exists.
 
 use crate::model::{Cmp, Engine, Model, Sense, Solution, SolveError, Status};
-use crate::simplex::{
-    solve_lp_warm, solve_lp_warm_gmi, BoundOverrides, LpSolution, WarmBasis, MAX_SIMPLEX_ITERS,
-};
+use crate::simplex::{solve_lp_warm, BoundOverrides, LpSolution, WarmBasis, MAX_SIMPLEX_ITERS};
 use crate::warm::WarmStart;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -239,9 +234,6 @@ fn validate_seed(model: &Model, seed: &[f64]) -> Option<Solution> {
         dual_pivots: 0,
         refactors: 0,
         truncated: false,
-        cuts: 0,
-        cut_rounds: 0,
-        cut_score_rejected: 0,
         nodes_pruned: 0,
         warm_used: false,
         presolve: crate::presolve::PresolveReport::default(),
@@ -397,9 +389,6 @@ impl<'m> Search<'m> {
                     dual_pivots: 0,
                     refactors: 0,
                     truncated: false,
-                    cuts: 0,
-                    cut_rounds: 0,
-                    cut_score_rejected: 0,
                     nodes_pruned: 0,
                     warm_used: false,
                     presolve: crate::presolve::PresolveReport::default(),
@@ -489,10 +478,9 @@ pub(crate) fn branch_and_bound(
         seeded = search.incumbent.is_some();
     }
 
-    // --- Root LP (optionally warm-started) + cut loop ---------------------
+    // --- Root LP (optionally warm-started) --------------------------------
     let root_ov = BoundOverrides::default();
     let warm_basis = warm.and_then(|w| w.basis.as_ref());
-    let want_cuts = model.engine == Engine::SparseRevised && model.cut_rounds > 0;
 
     search.nodes += 1;
     if search.nodes > model.node_limit {
@@ -507,10 +495,10 @@ pub(crate) fn branch_and_bound(
         };
     }
 
-    let (mut root_lp, mut pending_gmi) = match model.engine {
+    let root_lp = match model.engine {
         Engine::SparseRevised => {
             let budget = lp_budget(model.work_limit, 0);
-            match solve_lp_warm_gmi(model, &root_ov, budget, warm_basis, want_cuts) {
+            match solve_lp_warm(model, &root_ov, budget, warm_basis) {
                 Ok(r) => r,
                 // Root phase 1 ran out of budget, but a seeded incumbent is
                 // still a proven feasible point — return it truncated
@@ -526,157 +514,20 @@ pub(crate) fn branch_and_bound(
                 Err(e) => return Err(e),
             }
         }
-        Engine::DenseTableau => (crate::dense::solve_lp_dense(model, &root_ov)?, Vec::new()),
+        Engine::DenseTableau => crate::dense::solve_lp_dense(model, &root_ov)?,
     };
     let warm_used = root_lp.warmed || seeded;
     search.work += root_lp.pivots + LP_SOLVE_OVERHEAD;
     search.pivots += root_lp.pivots;
     search.dual_pivots += root_lp.dual_pivots;
     search.refactors += root_lp.refactors;
-    // Export the *pre-cut* root basis: it indexes the base model's rows, so
-    // the next structurally identical solve (which starts cut-free) can
-    // adopt it. A post-cut basis would reference appended rows the next
-    // model does not have yet.
     let root_basis = root_lp.basis.clone();
-
-    // Cut rounds: separate at the root optimum, append, re-solve from the
-    // previous basis. Each round either adds cuts or ends the loop; a
-    // round whose re-solve fails is rolled back (the previous root LP is
-    // still valid for the un-extended model), keeping cutting strictly
-    // fail-safe.
-    let mut work_model = model.clone();
-    let mut cuts_added = 0u64;
-    let mut cut_rounds = 0u64;
-    let mut cut_score_rejected = 0u64;
-    // Cutting shares the deterministic pivot budget with the search but may
-    // spend at most a quarter of it: cut re-solves strengthen the bound,
-    // branching closes it, and a cut loop that starves the tree is a net
-    // loss. Unlimited budget → unlimited cutting, as before.
-    let cut_work_cap = model.work_limit.map(|l| l / 4).unwrap_or(u64::MAX);
-    if want_cuts && !root_lp.truncated {
-        while (cut_rounds as usize) < model.cut_rounds && search.work <= cut_work_cap {
-            let fractional = model.vars.iter().enumerate().any(|(v, d)| {
-                d.integer && (root_lp.values[v] - root_lp.values[v].round()).abs() > INT_TOL
-            });
-            if !fractional {
-                break;
-            }
-            let mut batch = std::mem::take(&mut pending_gmi);
-            batch.extend(crate::cuts::cover_cuts(&work_model, &root_lp.values));
-            let batch = crate::cuts::dedup_cuts(batch, &work_model);
-            if batch.is_empty() {
-                break;
-            }
-            // Quality gate: keep only the round budget of deepest,
-            // mutually diverse cuts instead of appending everything the
-            // separators produced — rejected cuts are counted, and the
-            // next round can re-separate a better variant from the moved
-            // root point if one exists.
-            let (batch, n_rejected) =
-                crate::cuts::select_cuts(batch, &root_lp.values, work_model.vars.len());
-            cut_score_rejected += n_rejected;
-            if batch.is_empty() {
-                break;
-            }
-            let len_before = work_model.constraints.len();
-            let n_new = batch.len() as u64;
-            work_model.constraints.extend(batch);
-            let another_round = (cut_rounds as usize) + 1 < model.cut_rounds;
-            let budget = if model.work_limit.is_some() {
-                cut_work_cap.saturating_sub(search.work).max(1)
-            } else {
-                MAX_SIMPLEX_ITERS
-            };
-            match solve_lp_warm_gmi(
-                &work_model,
-                &root_ov,
-                budget,
-                root_lp.basis.as_ref(),
-                another_round,
-            ) {
-                Ok((lp, gmi)) if !lp.truncated => {
-                    search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                    search.pivots += lp.pivots;
-                    search.dual_pivots += lp.dual_pivots;
-                    search.refactors += lp.refactors;
-                    cuts_added += n_new;
-                    cut_rounds += 1;
-                    root_lp = lp;
-                    pending_gmi = gmi;
-                }
-                other => {
-                    // Truncated or failed re-solve: drop this round's cuts
-                    // and keep the last good root state.
-                    if let Ok((lp, _)) = other {
-                        search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                        search.pivots += lp.pivots;
-                        search.dual_pivots += lp.dual_pivots;
-                        search.refactors += lp.refactors;
-                        search.hit_limit = true;
-                    }
-                    work_model.constraints.truncate(len_before);
-                    break;
-                }
-            }
-        }
-    }
-    // Purge slack cuts before branching: a cut row the root optimum does
-    // not even touch rarely prunes anything below the root, but it taxes
-    // every FTRAN/BTRAN of every node LP in the tree. Keep the binding
-    // ones, re-solve once from the pre-cut basis, and on any hiccup keep
-    // the full set (fail-safe, like the rounds themselves).
-    if cuts_added > 0 {
-        let base_rows = model.constraints.len();
-        let tol = 1e-7;
-        let kept: Vec<_> = work_model.constraints[base_rows..]
-            .iter()
-            .filter(|c| {
-                let act: f64 = c
-                    .terms
-                    .iter()
-                    .map(|&(v, a)| a * root_lp.values[v.index()])
-                    .sum();
-                match c.op {
-                    Cmp::Le => act >= c.rhs - tol,
-                    Cmp::Ge => act <= c.rhs + tol,
-                    Cmp::Eq => true,
-                }
-            })
-            .cloned()
-            .collect();
-        let n_kept = kept.len() as u64;
-        if n_kept < cuts_added {
-            let mut purged = model.clone();
-            purged.constraints.extend(kept);
-            let budget = lp_budget(model.work_limit, search.work);
-            if budget >= MIN_LP_BUDGET {
-                match solve_lp_warm(&purged, &root_ov, budget, root_basis.as_ref()) {
-                    Ok(lp) if !lp.truncated => {
-                        search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                        search.pivots += lp.pivots;
-                        search.dual_pivots += lp.dual_pivots;
-                        search.refactors += lp.refactors;
-                        work_model = purged;
-                        root_lp = lp;
-                        cuts_added = n_kept;
-                    }
-                    Ok(lp) => {
-                        search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                        search.pivots += lp.pivots;
-                        search.dual_pivots += lp.dual_pivots;
-                        search.refactors += lp.refactors;
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-    }
 
     // Best-first exploration opens nodes by bound, so on models with a
     // weak relaxation it can exhaust a tight work budget before reaching
     // any integer leaf. Guard against that by seeding the incumbent from
-    // the (cut-tightened) root optimum itself: round, covering-repair,
-    // and revalidate — a feasible start the tree then only improves on.
+    // the root optimum itself: round, covering-repair, and revalidate — a
+    // feasible start the tree then only improves on.
     if search.incumbent.is_none() {
         search.incumbent =
             repair_seed(model, &root_lp.values).and_then(|r| validate_seed(model, &r));
@@ -707,7 +558,7 @@ pub(crate) fn branch_and_bound(
         };
         let budget = lp_budget(model.work_limit, search.work);
         if budget >= MIN_LP_BUDGET {
-            if let Ok(lp) = solve_node(&work_model, &dive, budget) {
+            if let Ok(lp) = solve_node(model, &dive, budget) {
                 search.work += lp.pivots + LP_SOLVE_OVERHEAD;
                 search.pivots += lp.pivots;
                 search.dual_pivots += lp.dual_pivots;
@@ -729,9 +580,6 @@ pub(crate) fn branch_and_bound(
                     dual_pivots: 0,
                     refactors: 0,
                     truncated: false,
-                    cuts: 0,
-                    cut_rounds: 0,
-                    cut_score_rejected: 0,
                     nodes_pruned: 0,
                     warm_used: false,
                     presolve: crate::presolve::PresolveReport::default(),
@@ -794,7 +642,7 @@ pub(crate) fn branch_and_bound(
             search.hit_limit = true;
             break;
         }
-        let results = solve_wave(&work_model, &wave, model.jobs, wave_budget);
+        let results = solve_wave(model, &wave, model.jobs, wave_budget);
 
         // Fold results sequentially, in pop order.
         for (entry, result) in wave.into_iter().zip(results) {
@@ -863,9 +711,6 @@ pub(crate) fn branch_and_bound(
             sol.dual_pivots = dual_pivots;
             sol.refactors = refactors;
             sol.nodes_pruned = nodes_pruned;
-            sol.cuts = cuts_added;
-            sol.cut_rounds = cut_rounds;
-            sol.cut_score_rejected = cut_score_rejected;
             sol.warm_used = warm_used;
             sol.root_basis = root_basis;
             Ok(sol)
@@ -891,15 +736,14 @@ mod tests {
 
     #[test]
     fn branches_on_fractional() {
-        // max x + y; 2x + 2y <= 3; binary -> optimum 1. Presolve and cuts
-        // would both integralize the root, so they are disabled here: this
-        // test pins the raw branching machinery.
+        // max x + y; 2x + 2y <= 3; binary -> optimum 1. Presolve would
+        // integralize the root, so it is disabled here: this test pins the
+        // raw branching machinery.
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_binary("x", 1.0);
         let y = m.add_binary("y", 1.0);
         m.add_constraint(vec![(x, 2.0), (y, 2.0)], Cmp::Le, 3.0);
         m.set_presolve(false);
-        m.set_cut_rounds(0);
         let sol = m.solve().unwrap();
         assert!((sol.objective - 1.0).abs() < 1e-6);
         assert!(sol.nodes > 1);
@@ -907,7 +751,7 @@ mod tests {
 
     #[test]
     fn default_strengthening_solves_it_at_the_root() {
-        // The same model with presolve + cuts on needs no branching at all
+        // The same model with presolve on needs no branching at all
         // (coefficient reduction rewrites the row to x + y <= 1).
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_binary("x", 1.0);
@@ -932,14 +776,13 @@ mod tests {
     fn node_limit_with_incumbent_is_flagged_truncated() {
         // The root LP is fractional; a child yields an integral incumbent,
         // then the node limit fires before the proof of optimality
-        // completes — the incumbent must come back marked. Presolve/cuts
-        // are off so the root actually stays fractional.
+        // completes — the incumbent must come back marked. Presolve is
+        // off so the root actually stays fractional.
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_binary("x", 1.0);
         let y = m.add_binary("y", 1.0);
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 1.5);
         m.set_presolve(false);
-        m.set_cut_rounds(0);
         m.set_node_limit(2);
         let sol = m.solve().unwrap();
         assert_eq!(sol.status, Status::Feasible);
@@ -965,7 +808,6 @@ mod tests {
         let y = m.add_binary("y", 1.0);
         m.add_constraint(vec![(x, 2.0), (y, 2.0)], Cmp::Le, 3.0);
         m.set_presolve(false);
-        m.set_cut_rounds(0);
         m.set_node_limit(0);
         assert!(m.solve().is_err());
     }
@@ -1036,10 +878,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_work_budget_with_cuts_is_reported_honestly() {
+    fn truncated_work_budget_is_reported_honestly() {
         // A branchy model with a pivot budget small enough to truncate:
         // the result must carry `truncated = true` and Status::Feasible
-        // even with cuts and presolve active.
+        // even with presolve active.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..16)
             .map(|i| m.add_binary(format!("b{i}"), 1.0 + (i as f64) * 0.53))

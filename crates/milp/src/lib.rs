@@ -45,24 +45,28 @@
 //! pure function of the model, so truncated solves reproduce bit-for-bit
 //! across machines, thread counts, and engine-internal timing.
 //!
-//! # Root strengthening: presolve and cutting planes
+//! # Root strengthening: presolve and warm starts
 //!
 //! Before any simplex work, [`Model::solve`] runs a **presolve** pass
 //! (bound tightening from row activities, singleton-row substitution,
 //! Savelsbergh coefficient reduction — see the `presolve` module) that
 //! shrinks the model while preserving its mixed-integer optimum; the
-//! reductions are reported in [`Solution::presolve`]. At the root LP
-//! optimum, a round-limited loop separates **Gomory mixed-integer cuts**
-//! (from the optimal tableau) and **knapsack cover cuts** (from the
-//! rows), re-solving each round from the previous round's basis
-//! ([`Model::set_cut_rounds`]). Separated cuts pass a **quality scorer**
-//! before admission — ranked by efficacy (violation over coefficient
-//! norm), penalized for near-parallelism to already-selected cuts,
-//! preferring sparser rows, under a fixed per-round budget; rejects are
-//! counted in [`Solution::cut_score_rejected`]. Both layers can be
-//! disabled
+//! reductions are reported in [`Solution::presolve`]. The root LP then
+//! starts from a caller's warm basis when one revalidates (see *Cross-solve
+//! warm starts* below), and its optimum seeds an incumbent by rounding and
+//! covering-row repair or, failing that, one diving LP with every integer
+//! fixed at its rounded-up root value. Presolve can be disabled
 //! ([`Model::set_presolve`]) to recover the raw model as an oracle; the
-//! dense engine never generates cuts and serves the same role.
+//! dense engine serves the same role for the LP layer.
+//!
+//! The solver separates no cutting planes of its own. A root loop of
+//! Gomory mixed-integer and knapsack cover cuts was measured in the full
+//! flow and removed: on the budget-truncated baseline placements it spent
+//! about a quarter of the flow's time and returned worse incumbents, and
+//! on the warm iterative flow it saved about 4%. The buffer placer's
+//! critical-path covering rows are constraints of the model itself, added
+//! lazily between solves ([`Model::solve_with_cuts`] is the in-crate form
+//! of that loop).
 //!
 //! # Deterministic parallel best-first branch & bound
 //!
@@ -85,18 +89,18 @@
 //!
 //! # Dual simplex warm re-solves
 //!
-//! Branching tightens one variable bound, and appending a cut row extends
-//! the system by one slack: in both moves the parent optimum stays **dual
+//! Branching tightens one variable bound, and appending a row extends the
+//! system by one slack: in both moves the parent optimum stays **dual
 //! feasible** while (usually) turning primal infeasible. Wherever a
 //! revalidated warm basis is dual feasible — child nodes re-solving from
-//! the parent's final basis, post-cut re-solves with the new row basic on
-//! its slack, and [`MilpWarmStore`] hits — the engine therefore runs the
-//! **dual simplex** (most-infeasible leaving row, ratio-test entering
-//! column, the same Bland-style anti-cycling fallback) instead of a cold
-//! phase 1/2, typically reaching the new optimum in a handful of pivots
-//! ([`Solution::dual_pivots`]). A dual walk that stalls discards the basis
-//! and falls back to the primal phase-1 path, carrying its spent work into
-//! the deterministic budget.
+//! the parent's final basis, re-solves after lazily appended covering rows
+//! with each new row basic on its slack, and [`MilpWarmStore`] hits — the
+//! engine therefore runs the **dual simplex** (most-infeasible leaving
+//! row, ratio-test entering column, the same Bland-style anti-cycling
+//! fallback) instead of a cold phase 1/2, typically reaching the new
+//! optimum in a handful of pivots ([`Solution::dual_pivots`]). A dual walk
+//! that stalls discards the basis and falls back to the primal phase-1
+//! path, carrying its spent work into the deterministic budget.
 //!
 //! # Cross-solve warm starts
 //!
@@ -133,14 +137,12 @@
 //! ```
 
 mod branch;
-mod cuts;
 mod dense;
 mod model;
 mod presolve;
 mod simplex;
 mod warm;
 
-pub use cuts::{separate_root_cuts, RootCutReport};
 pub use model::{
     Cmp, Constraint, Engine, Model, RowReduction, Sense, Solution, SolveError, Status, VarId,
 };

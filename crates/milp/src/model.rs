@@ -41,11 +41,11 @@ pub enum Cmp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Engine {
-    /// Legacy dense two-phase tableau ([`crate::dense`]): every pivot
+    /// Legacy dense two-phase tableau (the `dense` module): every pivot
     /// rewrites the full tableau. Kept as the measured baseline and the
     /// oracle for the equivalence tests.
     DenseTableau,
-    /// Sparse revised simplex ([`crate::simplex`]): CSC matrix,
+    /// Sparse revised simplex (the `simplex` module): CSC matrix,
     /// product-form eta-file basis inverse with periodic refactorization,
     /// warm-started branch-and-bound nodes. The default.
     #[default]
@@ -109,15 +109,6 @@ pub struct Solution {
     /// (or an LP phase) finished: the solution is feasible but `objective`
     /// may be short of the true optimum.
     pub truncated: bool,
-    /// Cutting planes (Gomory mixed-integer + knapsack cover) added at the
-    /// root ([`Engine::SparseRevised`] only).
-    pub cuts: u64,
-    /// Root cut-separation rounds that added at least one cut.
-    pub cut_rounds: u64,
-    /// Separated cuts rejected by the quality scorer (low efficacy, near
-    /// parallelism to a selected cut, or over the round budget) instead of
-    /// being added to the root LP.
-    pub cut_score_rejected: u64,
     /// Best-first entries discarded by bound before their LP was solved
     /// (these never count toward `nodes`).
     pub nodes_pruned: u64,
@@ -126,8 +117,8 @@ pub struct Solution {
     pub warm_used: bool,
     /// What the presolve pass did (all-zero when presolve is disabled).
     pub presolve: crate::presolve::PresolveReport,
-    /// Final basis of the root LP after the cut loop, for cross-solve warm
-    /// starts ([`Engine::SparseRevised`] only).
+    /// Final basis of the root LP, for cross-solve warm starts
+    /// ([`Engine::SparseRevised`] only).
     pub root_basis: Option<crate::simplex::WarmBasis>,
 }
 
@@ -226,11 +217,7 @@ pub struct Model {
     pub(crate) engine: Engine,
     pub(crate) jobs: usize,
     pub(crate) presolve: bool,
-    pub(crate) cut_rounds: usize,
 }
-
-/// Default root cut-separation round cap ([`Model::set_cut_rounds`]).
-pub(crate) const DEFAULT_CUT_ROUNDS: usize = 4;
 
 impl Model {
     /// Names of all variables, in column order — the payload for
@@ -252,7 +239,6 @@ impl Model {
             engine: Engine::default(),
             jobs: 1,
             presolve: true,
-            cut_rounds: DEFAULT_CUT_ROUNDS,
         }
     }
 
@@ -345,14 +331,6 @@ impl Model {
     /// restores the exact pre-presolve solver as an equivalence oracle.
     pub fn set_presolve(&mut self, on: bool) {
         self.presolve = on;
-    }
-
-    /// Caps root cut-separation rounds (default 4; `0` disables cutting
-    /// planes entirely, restoring the cuts-off oracle). Cuts are only
-    /// generated under [`Engine::SparseRevised`]; the dense tableau always
-    /// solves the uncut model.
-    pub fn set_cut_rounds(&mut self, rounds: usize) {
-        self.cut_rounds = rounds;
     }
 
     /// Runs the presolve pass in place and reports what it did. Called
@@ -583,9 +561,6 @@ impl Model {
             dual_pivots: lp.dual_pivots,
             refactors: lp.refactors,
             truncated: lp.truncated,
-            cuts: 0,
-            cut_rounds: 0,
-            cut_score_rejected: 0,
             nodes_pruned: 0,
             warm_used: false,
             presolve: crate::presolve::PresolveReport::default(),

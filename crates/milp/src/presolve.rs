@@ -569,7 +569,6 @@ mod tests {
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
         let mut plain = m.clone();
         plain.set_presolve(false);
-        plain.set_cut_rounds(0);
         let a = plain.solve().unwrap();
         let b = m.solve().unwrap();
         assert!(

@@ -23,7 +23,7 @@
 //!   hands each child the basis of the node that spawned it): if the basis
 //!   is still primal feasible under the child's bounds, phase 1 is skipped
 //!   entirely; if it is primal infeasible but still *dual* feasible — the
-//!   typical state after a bound change or an appended cut row — the
+//!   typical state after a bound change or an appended row — the
 //!   **dual simplex** ([`Rsm::dual_optimize`]) walks it back to
 //!   feasibility without any phase-1 work.
 //!
@@ -47,7 +47,7 @@ const DEGENERATE_STREAK: u32 = 50;
 
 /// Floor for the stall valve: consecutive degenerate pivots tolerated
 /// before a phase gives up as truncated. Bland's rule cannot cycle, but
-/// on heavily degenerate vertices (cut-augmented placement LPs) its exit
+/// on heavily degenerate vertices (covering-row placement LPs) its exit
 /// walk can run to the full iteration valve; past `max(STALL_FLOOR,
 /// 2·(rows + priced columns))` zero-progress pivots the walk is abandoned
 /// instead, which keeps one sick LP from draining the caller's entire
@@ -94,8 +94,8 @@ pub(crate) struct LpSolution {
 }
 
 /// A basis snapshot handed from one LP solve to a later one: between a
-/// branch-and-bound node and its children, across root cut rounds, or
-/// across flow iterations via [`crate::warm::MilpWarmStore`].
+/// branch-and-bound node and its children, or across solves of a growing
+/// model via [`crate::warm::WarmStart`] and [`crate::warm::MilpWarmStore`].
 ///
 /// Adopted by a later solve only when `rows`/`cols` are no larger than the
 /// new system's, every basic column is a real (structural or slack) column
@@ -171,11 +171,12 @@ pub(crate) fn prepare(model: &Model, overrides: &BoundOverrides) -> Result<Prepa
 
     // Rows: one row per finite upper bound first, then the model
     // constraints (rhs adjusted by lower-bound shift). Upper-bound rows
-    // leading means a constraint appended to the model — a root cutting
-    // plane — extends the row system strictly at the end, leaving every
-    // existing structural and slack column index intact; that stability is
-    // what lets the warm-basis adoption below extend a pre-cut basis
-    // instead of cold-starting every cut round.
+    // leading means a constraint appended to the model — a lazy covering
+    // row added by the caller between solves — extends the row system
+    // strictly at the end, leaving every existing structural and slack
+    // column index intact; that stability is what lets the warm-basis
+    // adoption below extend the previous solve's basis instead of
+    // cold-starting.
     let mut rows: Vec<PreparedRow> = Vec::with_capacity(model.constraints.len() + n);
     for v in 0..n {
         if hi[v].is_finite() {
@@ -861,21 +862,6 @@ pub(crate) fn solve_lp_warm(
     max_iters: u64,
     warm: Option<&WarmBasis>,
 ) -> Result<LpSolution, SolveError> {
-    solve_lp_warm_gmi(model, overrides, max_iters, warm, false).map(|(lp, _)| lp)
-}
-
-/// [`solve_lp_warm`] that additionally separates Gomory mixed-integer
-/// cuts from the optimal basis when `want_cuts` is set (and the solve was
-/// not truncated). Returned cuts are in the model's original variable
-/// space, are valid for every integer-feasible point, and are violated by
-/// the LP point just returned by more than the separation tolerance.
-pub(crate) fn solve_lp_warm_gmi(
-    model: &Model,
-    overrides: &BoundOverrides,
-    max_iters: u64,
-    warm: Option<&WarmBasis>,
-    want_cuts: bool,
-) -> Result<(LpSolution, Vec<crate::model::Constraint>), SolveError> {
     let prep = prepare(model, overrides)?;
     let n = prep.n;
     let m = prep.rows.len();
@@ -982,10 +968,10 @@ pub(crate) fn solve_lp_warm_gmi(
     //    optimality (usually in zero pivots).
     // 2. **Primal infeasible but dual feasible** (no artificial basic and
     //    every nonbasic reduced cost ≤ 0 against the phase-2 costs) — the
-    //    typical state after branching tightened a bound or a cut row was
+    //    typical state after branching tightened a bound or a row was
     //    appended: the **dual simplex** re-solves from here, no phase 1.
     //    Appended rows enter basic on their *slack* column when they have
-    //    one precisely to keep this candidate artificial-free — a `≥` cut
+    //    one precisely to keep this candidate artificial-free — a `≥`
     //    row's natural basis entry would be an artificial, forcing the
     //    warm phase 1 below.
     // 3. Otherwise (an artificial landed in the basis — an appended `=`
@@ -1133,185 +1119,20 @@ pub(crate) fn solve_lp_warm_gmi(
     }
     let objective = prep.sign * (z + prep.obj_shift);
 
-    let cuts = if want_cuts && !truncated {
-        gomory_cuts(model, &prep, &a, &rsm, &slack_col_of_row, &values)
-    } else {
-        Vec::new()
-    };
-
-    Ok((
-        LpSolution {
-            values,
-            objective,
-            pivots: rsm.pivots,
-            dual_pivots: rsm.dual_pivots,
-            refactors: rsm.refactors,
-            truncated,
-            basis: Some(WarmBasis {
-                rows: m,
-                cols: n_real,
-                basis: rsm.basis,
-            }),
-            warmed,
-        },
-        cuts,
-    ))
-}
-
-/// Separation tolerance: a cut must beat the root point by this much to be
-/// worth a re-solve (and for the violation to be numerically trustworthy).
-const CUT_VIOLATION_TOL: f64 = 1e-6;
-
-/// Coefficient-dynamism cap: a cut whose nonzero coefficients span more
-/// than this ratio is numerically fragile and gets discarded.
-const CUT_DYNAMISM_CAP: f64 = 1e7;
-
-/// Generates Gomory mixed-integer (GMI) cuts from the optimal basis of the
-/// just-solved LP, translated back to the model's original variable space.
-///
-/// For each basis position holding a *structural integer* variable at a
-/// fractional value (source rows are scanned in basis-position order, so
-/// the cut list is deterministic), the tableau row `eₚᵀB⁻¹A` is formed
-/// with one BTRAN, and the standard GMI coefficients are applied to every
-/// nonbasic real column — the fractional-part formula for integer
-/// structural columns whose shift preserved integrality, the always-valid
-/// continuous formula for everything else. Slack terms are substituted
-/// away (`s = rhs − Σa·x'` for `≤` rows, the negation for `≥`), the
-/// lower-bound shift is undone, and the result lands as a plain `≥`
-/// constraint over the original variables.
-///
-/// Artificial columns are skipped: they are zero at every feasible point,
-/// so dropping their (nonnegative-coefficient) terms keeps the cut valid.
-/// Cuts that are non-finite, too wide in magnitude
-/// ([`CUT_DYNAMISM_CAP`]), or not violated by the current root point by
-/// more than [`CUT_VIOLATION_TOL`] are discarded.
-fn gomory_cuts(
-    model: &Model,
-    prep: &Prepared,
-    a: &Csc,
-    rsm: &Rsm<'_>,
-    slack_col_of_row: &[Option<usize>],
-    root_values: &[f64],
-) -> Vec<crate::model::Constraint> {
-    use crate::model::{Constraint, VarId};
-
-    let n = prep.n;
-    let n_real = rsm.n_real;
-    let m = rsm.m();
-    // Inverse map: slack column -> its row.
-    let mut row_of_slack: Vec<usize> = vec![usize::MAX; n_real];
-    for (i, s) in slack_col_of_row.iter().enumerate() {
-        if let Some(c) = s {
-            row_of_slack[*c] = i;
-        }
-    }
-    // Does the shift x' = x − lo preserve integrality of variable v?
-    let int_shifted =
-        |v: usize| model.vars[v].integer && (prep.lo[v] - prep.lo[v].round()).abs() <= 1e-9;
-
-    let mut cuts = Vec::new();
-    let mut y = vec![0.0f64; m];
-    let mut coef = vec![0.0f64; n];
-    for p in 0..m {
-        let col = rsm.basis[p];
-        if col >= n || !int_shifted(col) {
-            continue;
-        }
-        let xb = rsm.xb[p];
-        let f0 = xb - xb.floor();
-        if !(0.01..=0.99).contains(&f0) {
-            continue;
-        }
-        // Tableau row p: y = eₚᵀB⁻¹, then ā_j = y·A_j per nonbasic column.
-        y.iter_mut().for_each(|v| *v = 0.0);
-        y[p] = 1.0;
-        rsm.etas.btran(&mut y);
-        coef.iter_mut().for_each(|v| *v = 0.0);
-        // Cut over nonbasic variables: Σ γ_j t_j ≥ 1 (all nonbasic sit at
-        // zero in this standard-form system, so the classic GMI applies).
-        let mut rhs_cut = 1.0f64;
-        for j in 0..n_real {
-            if rsm.in_basis[j] {
-                continue;
-            }
-            let abar = a.col_dot(j, &y);
-            if abar.abs() <= 1e-11 {
-                continue;
-            }
-            let gamma = if j < n && int_shifted(j) {
-                let fj = abar - abar.floor();
-                if fj <= f0 {
-                    fj / f0
-                } else {
-                    (1.0 - fj) / (1.0 - f0)
-                }
-            } else if abar > 0.0 {
-                abar / f0
-            } else {
-                -abar / (1.0 - f0)
-            };
-            if gamma.abs() <= 1e-11 {
-                continue;
-            }
-            if j < n {
-                coef[j] += gamma;
-            } else {
-                // Slack substitution against the (pre-flip) prepared row:
-                // the flip sign cancels out of the slack's defining
-                // equation, so `≤` gives s = rhs − Σa·x' and `≥` gives
-                // s = Σa·x' − rhs.
-                let row = &prep.rows[row_of_slack[j]];
-                match row.op {
-                    Cmp::Le => {
-                        rhs_cut -= gamma * row.rhs;
-                        for &(v, av) in &row.coeffs {
-                            coef[v] -= gamma * av;
-                        }
-                    }
-                    Cmp::Ge => {
-                        rhs_cut += gamma * row.rhs;
-                        for &(v, av) in &row.coeffs {
-                            coef[v] += gamma * av;
-                        }
-                    }
-                    Cmp::Eq => unreachable!("Eq rows have no slack"),
-                }
-            }
-        }
-        // Undo the lower-bound shift and assemble the constraint.
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut rhs = rhs_cut;
-        let mut max_c = 0.0f64;
-        let mut min_c = f64::INFINITY;
-        let mut ok = rhs_cut.is_finite();
-        for (v, &c) in coef.iter().enumerate() {
-            if c.abs() <= 1e-12 {
-                continue;
-            }
-            if !c.is_finite() {
-                ok = false;
-                break;
-            }
-            rhs += c * prep.lo[v];
-            max_c = max_c.max(c.abs());
-            min_c = min_c.min(c.abs());
-            terms.push((VarId(v), c));
-        }
-        if !ok || terms.is_empty() || !rhs.is_finite() || max_c > min_c * CUT_DYNAMISM_CAP {
-            continue;
-        }
-        // Keep only cuts the root point actually violates.
-        let lhs_now: f64 = terms.iter().map(|&(v, c)| c * root_values[v.index()]).sum();
-        if lhs_now >= rhs - CUT_VIOLATION_TOL {
-            continue;
-        }
-        cuts.push(Constraint {
-            terms,
-            op: Cmp::Ge,
-            rhs,
-        });
-    }
-    cuts
+    Ok(LpSolution {
+        values,
+        objective,
+        pivots: rsm.pivots,
+        dual_pivots: rsm.dual_pivots,
+        refactors: rsm.refactors,
+        truncated,
+        basis: Some(WarmBasis {
+            rows: m,
+            cols: n_real,
+            basis: rsm.basis,
+        }),
+        warmed,
+    })
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //!   against it from multiple threads without re-flattening the graph.
 //!
 //! Semantics are *defined* by the interpreter: every evaluation and
-//! commit function here mirrors [`crate::eval`]/[`crate::commit`]
-//! statement for statement, and `tests/sim_equivalence.rs` pins the
+//! commit function here mirrors the interpreter's `eval`/`commit`
+//! modules statement for statement, and `tests/sim_equivalence.rs` pins the
 //! bit-identity (same `RunStats`, per-channel counters, memory images,
 //! error variants, and error precedence) on proptest DFGs and all
 //! evaluation kernels.

@@ -105,12 +105,11 @@ fn assert_engines_agree(
     Ok(())
 }
 
-fn solution_bits(s: &Solution) -> (u64, u64, u64, u64, u64, Vec<u64>) {
+fn solution_bits(s: &Solution) -> (u64, u64, u64, u64, Vec<u64>) {
     (
         s.nodes,
         s.pivots,
         s.nodes_pruned,
-        s.cuts,
         s.objective.to_bits(),
         s.values.iter().map(|v| v.to_bits()).collect(),
     )
@@ -227,70 +226,14 @@ proptest! {
         assert_jobs_invariant(&mut m)?;
     }
 
-    /// Cut validity (both families): every cut separated at the root LP
-    /// optimum of a random binary program must (a) be violated by the root
-    /// point that produced it and (b) hold at **every** feasible 0/1
-    /// assignment — not just the optimum — since a cut that removes any
-    /// integer point is simply wrong.
-    #[test]
-    fn root_cuts_never_remove_integer_points(p in binary_program()) {
-        let m = to_model(&p, false);
-        let rep = match milp::separate_root_cuts(&m) {
-            Ok(r) => r,
-            // Infeasible/unbounded roots have nothing to separate from.
-            Err(_) => return Ok(()),
-        };
-        for c in &rep.cuts {
-            let at = |x: &dyn Fn(usize) -> f64| -> f64 {
-                c.terms.iter().map(|&(v, a)| a * x(v.index())).sum()
-            };
-            // (a) violated at the root point…
-            let root = at(&|v| rep.root_values[v]);
-            let violated = match c.op {
-                Cmp::Le => root > c.rhs + 1e-7,
-                Cmp::Ge => root < c.rhs - 1e-7,
-                Cmp::Eq => (root - c.rhs).abs() > 1e-7,
-            };
-            prop_assert!(violated, "cut {c:?} not violated at root {:?}", rep.root_values);
-            // (b) …and satisfied by every feasible integer assignment.
-            let n = p.vars.len();
-            for mask in 0u32..(1 << n) {
-                let x = |i: usize| ((mask >> i) & 1) as f64;
-                let feasible = p.rows.iter().all(|(coef, op, rhs)| {
-                    if coef.iter().all(|&c| c == 0) {
-                        return true; // dropped by to_model
-                    }
-                    let lhs: f64 =
-                        coef.iter().enumerate().map(|(i, &c)| c as f64 * x(i)).sum();
-                    match op {
-                        0 => lhs <= *rhs as f64 + 1e-9,
-                        1 => lhs >= *rhs as f64 - 1e-9,
-                        _ => (lhs - *rhs as f64).abs() <= 1e-9,
-                    }
-                });
-                if !feasible {
-                    continue;
-                }
-                let act = at(&|v| x(v));
-                let ok = match c.op {
-                    Cmp::Le => act <= c.rhs + 1e-7,
-                    Cmp::Ge => act >= c.rhs - 1e-7,
-                    Cmp::Eq => (act - c.rhs).abs() <= 1e-7,
-                };
-                prop_assert!(ok, "cut {c:?} removes feasible point mask={mask:#b}");
-            }
-        }
-    }
-
     /// Presolve preserves the mixed-integer optimum: the default solve
-    /// (presolve + cuts on) must agree with the raw solve (both off) on
+    /// (presolve on) must agree with the raw solve (presolve off) on
     /// random models — same objective, same infeasibility verdict.
     #[test]
     fn presolved_optimum_matches_unpresolved_oracle(p in random_program()) {
         let strengthened = to_model(&p, false);
         let mut oracle = to_model(&p, false);
         oracle.set_presolve(false);
-        oracle.set_cut_rounds(0);
         match (strengthened.solve(), oracle.solve()) {
             (Ok(a), Ok(b)) => {
                 prop_assert!(
@@ -350,8 +293,8 @@ proptest! {
     }
 
     /// Two solves of the same model in the same process are bit-identical
-    /// in every counter and value — cuts, presolve, and best-first search
-    /// hold no hidden global state.
+    /// in every counter and value — presolve and best-first search hold no
+    /// hidden global state.
     #[test]
     fn repeated_solves_are_bit_identical(p in random_program()) {
         let m = to_model(&p, false);
@@ -368,24 +311,12 @@ proptest! {
     }
 }
 
-/// All-binary restriction of [`random_program`], small enough to verify
-/// cuts against an exhaustive 0/1 enumeration.
-fn binary_program() -> impl Strategy<Value = RandomProgram> {
-    random_program().prop_map(|mut p| {
-        for v in &mut p.vars {
-            v.0 = 1;
-            v.2 = true;
-        }
-        p
-    })
-}
-
 /// A maximally degenerate MILP — many tied rows pinning the same vertex —
 /// whose LP relaxations stall Dantzig pricing into the Bland fallback.
 /// The solve must terminate at the proven optimum (no cycling) even with
-/// presolve and cuts active.
+/// presolve active.
 #[test]
-fn degenerate_milp_does_not_cycle_under_cuts() {
+fn degenerate_milp_does_not_cycle() {
     let mut m = Model::new(Sense::Maximize);
     let vars: Vec<_> = (0..6).map(|i| m.add_binary(format!("d{i}"), 1.0)).collect();
     // Every pair sums to at most 1 (a clique), stated redundantly several
@@ -463,7 +394,7 @@ fn dual_degenerate_resolve_does_not_cycle() {
 }
 
 /// Builds the canonicalized seed placement model (the Eq. 3 model of the
-/// first cut round) for one kernel.
+/// first lazy covering round) for one kernel.
 fn kernel_placement_model(kernel: &hls::Kernel, opts: &FlowOptions) -> Model {
     let g = kernel.seeded_graph();
     let synth = synthesize(&g, opts.k).expect("kernel synthesizes");
@@ -507,10 +438,9 @@ fn engines_agree_on_all_kernel_placement_models() {
         model.set_engine(Engine::SparseRevised);
         let sparse = model.solve().expect("sparse solves the placement model");
 
-        // Strengthening oracle: presolve + cuts must not move the optimum.
+        // Strengthening oracle: presolve must not move the optimum.
         let mut raw = model.clone();
         raw.set_presolve(false);
-        raw.set_cut_rounds(0);
         let oracle = raw.solve().expect("raw model solves");
         if !sparse.truncated && !oracle.truncated {
             assert!(
