@@ -1,9 +1,8 @@
 //! Benchmarks the synthesis lane on the nine kernels' elaborated gate
 //! netlists: the retained HashMap reference labeler (the pre-dense serial
-//! lane) against the dense-array FlowMap mapper at jobs 1/2/4/8, plus the
-//! self-seeded incremental lane (label reuse through an order-isomorphic
-//! netlist matching). Every lane is checked bit-identical against the
-//! reference before any wall clock is reported.
+//! lane) against the dense-array FlowMap mapper at jobs 1/2/4/8. Every
+//! lane is checked bit-identical against the reference before any wall
+//! clock is reported.
 //!
 //! ```sh
 //! cargo run -p frequenz-bench --release --bin bench_synth -- \
@@ -27,7 +26,7 @@
 
 use frequenz_bench::{parse_jobs, CompareError};
 use lutmap::{map_netlist, map_netlist_reference, map_netlist_with_seed, MapOptions};
-use netlist::{elaborate, match_netlists, Netlist};
+use netlist::{elaborate, Netlist};
 use std::time::Instant;
 
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -42,8 +41,6 @@ struct Row {
     flow_visits: usize,
     reference_s: f64,
     dense_s: [f64; SWEEP.len()],
-    seeded_s: f64,
-    label_reuse_rate: f64,
     identical: bool,
 }
 
@@ -59,11 +56,6 @@ impl Row {
     fn speedup_at(&self, jobs: usize) -> f64 {
         let i = SWEEP.iter().position(|&j| j == jobs).expect("swept count");
         self.reference_s / self.dense_s[i].max(1e-12)
-    }
-
-    /// Self-seeded incremental lane vs the reference.
-    fn seeded_speedup(&self) -> f64 {
-        self.reference_s / self.seeded_s.max(1e-12)
     }
 }
 
@@ -178,7 +170,7 @@ fn main() -> Result<(), CompareError> {
         kernels.len()
     );
     println!(
-        "{:<15} | {:>6} {:>6} {:>5} {:>9} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>9} {:>7} | {:>9} {:>6} | {:>5}",
+        "{:<15} | {:>6} {:>6} {:>5} {:>9} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>9} {:>7} | {:>5}",
         "Benchmark",
         "gates",
         "luts",
@@ -191,8 +183,6 @@ fn main() -> Result<(), CompareError> {
         "j4(s)",
         "j8(s)",
         "j4 x",
-        "seed(s)",
-        "reuse%",
         "ident"
     );
 
@@ -239,31 +229,10 @@ fn main() -> Result<(), CompareError> {
         }
         let dense = first.expect("sweep is non-empty");
 
-        // Self-seeded incremental lane: map once to harvest the seed, match
-        // the netlist against itself (order-isomorphic, total), then remap
-        // with every label served from the seed.
-        let (_, seed, fresh_stats) =
+        // The labeler's work counter, from the one entry point that
+        // reports mapping statistics.
+        let (_, _, stats) =
             map_netlist_with_seed(&nl, &ref_opts, None).expect("kernel netlists are acyclic");
-        let matching = match_netlists(&nl, &nl);
-        let mut reuse_rate = 0.0;
-        let (seeded_s, seeded_ok) = best_of(repeats, || {
-            let (net, _, stats) = map_netlist_with_seed(&nl, &ref_opts, Some((&seed, &matching)))
-                .expect("kernel netlists are acyclic");
-            let total = stats.labels_reused + stats.labels_computed;
-            reuse_rate = if total == 0 {
-                0.0
-            } else {
-                stats.labels_reused as f64 / total as f64
-            };
-            net.bit_identical(&reference)
-        });
-        if !seeded_ok {
-            identical = false;
-            eprintln!(
-                "[bench_synth] {}: seeded lane diverged from reference!",
-                kernel.name
-            );
-        }
 
         let row = Row {
             name: kernel.name,
@@ -271,15 +240,13 @@ fn main() -> Result<(), CompareError> {
             luts: dense.num_luts(),
             depth: dense.depth(),
             cut_inputs: dense.total_cut_inputs(),
-            flow_visits: fresh_stats.flow_visits,
+            flow_visits: stats.flow_visits,
             reference_s,
             dense_s,
-            seeded_s,
-            label_reuse_rate: reuse_rate,
             identical,
         };
         println!(
-            "{:<15} | {:>6} {:>6} {:>5} {:>9} | {:>9.4} {:>9.4} {:>5.2}x | {:>9.4} {:>9.4} {:>9.4} {:>6.2}x | {:>9.4} {:>5.0}% | {:>5}",
+            "{:<15} | {:>6} {:>6} {:>5} {:>9} | {:>9.4} {:>9.4} {:>5.2}x | {:>9.4} {:>9.4} {:>9.4} {:>6.2}x | {:>5}",
             row.name,
             row.gates,
             row.luts,
@@ -292,8 +259,6 @@ fn main() -> Result<(), CompareError> {
             row.dense_s[2],
             row.dense_s[3],
             row.speedup_at(headline_jobs),
-            row.seeded_s,
-            100.0 * row.label_reuse_rate,
             row.identical,
         );
         rows.push(row);
@@ -308,10 +273,8 @@ fn main() -> Result<(), CompareError> {
         .position(|&j| j == headline_jobs)
         .expect("validated above");
     let headline_total: f64 = rows.iter().map(|r| r.dense_s[headline_i]).sum();
-    let seeded_total: f64 = rows.iter().map(|r| r.seeded_s).sum();
     let layout_speedup = ref_total / dense_total.max(1e-12);
     let headline_speedup = ref_total / headline_total.max(1e-12);
-    let seeded_speedup = ref_total / seeded_total.max(1e-12);
     println!(
         "\ndense lane (jobs=1): {dense_total:.4}s vs reference {ref_total:.4}s — \
          {layout_speedup:.2}x single-threaded (dense layout plus implicit max-flow)"
@@ -319,11 +282,6 @@ fn main() -> Result<(), CompareError> {
     println!(
         "dense at jobs={headline_jobs}: {headline_total:.4}s — {headline_speedup:.2}x vs the \
          pre-dense serial lane"
-    );
-    println!(
-        "self-seeded incremental lane: {seeded_total:.4}s — {seeded_speedup:.2}x \
-         (label reuse {:.0}% mean)",
-        100.0 * rows.iter().map(|r| r.label_reuse_rate).sum::<f64>() / rows.len().max(1) as f64
     );
     let all_identical = rows.iter().all(|r| r.identical);
     println!(
@@ -344,7 +302,6 @@ fn main() -> Result<(), CompareError> {
         "  \"dense_layout_speedup\": {layout_speedup:.3},\n"
     ));
     json.push_str(&format!("  \"headline_speedup\": {headline_speedup:.3},\n"));
-    json.push_str(&format!("  \"seeded_speedup\": {seeded_speedup:.3},\n"));
     json.push_str(&format!("  \"lanes_bit_identical\": {all_identical},\n"));
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -352,9 +309,8 @@ fn main() -> Result<(), CompareError> {
             "    {{\"name\": \"{}\", \"gates\": {}, \"luts\": {}, \"depth\": {}, \
              \"cut_inputs\": {}, \"flow_visits\": {}, \"reference_s\": {:.6}, \"dense_s\": {:.6}, \
              \"dense_j2_s\": {:.6}, \"dense_j4_s\": {:.6}, \"dense_j8_s\": {:.6}, \
-             \"seeded_s\": {:.6}, \"dense_layout_speedup\": {:.3}, \
-             \"headline_speedup\": {:.3}, \"seeded_speedup\": {:.3}, \
-             \"label_reuse_rate\": {:.4}, \"bit_identical\": {}}}{}\n",
+             \"dense_layout_speedup\": {:.3}, \"headline_speedup\": {:.3}, \
+             \"bit_identical\": {}}}{}\n",
             r.name,
             r.gates,
             r.luts,
@@ -366,11 +322,8 @@ fn main() -> Result<(), CompareError> {
             r.dense_s[1],
             r.dense_s[2],
             r.dense_s[3],
-            r.seeded_s,
             r.dense_speedup(),
             r.speedup_at(headline_jobs),
-            r.seeded_speedup(),
-            r.label_reuse_rate,
             r.identical,
             if i + 1 == rows.len() { "" } else { "," }
         ));

@@ -77,27 +77,6 @@ fn main() -> Result<(), frequenz_bench::CompareError> {
         "  best execution-time reduction: {:.0}% (paper: up to -29%)",
         100.0 * best_et
     );
-    let reused: u64 = rows.iter().map(|r| r.iter_trace.labels_reused).sum();
-    let computed: u64 = rows.iter().map(|r| r.iter_trace.labels_computed).sum();
-    let incr_s: f64 = rows
-        .iter()
-        .map(|r| r.iter_trace.synth_incremental.as_secs_f64())
-        .sum();
-    let full_s: f64 = rows
-        .iter()
-        .map(|r| r.iter_trace.synth_full.as_secs_f64())
-        .sum();
-    println!(
-        "  incremental re-synthesis: {reused}/{} FlowMap labels reused ({:.0}%), \
-         {full_s:.1} s full + {incr_s:.1} s incremental synth",
-        reused + computed,
-        if reused + computed == 0 {
-            0.0
-        } else {
-            100.0 * reused as f64 / (reused + computed) as f64
-        },
-    );
-
     println!("\nper-kernel flow instrumentation (Iter.):");
     for r in &rows {
         println!(

@@ -328,27 +328,6 @@ pub fn run_table1_jobs(
             c.iter_iterations,
         );
     }
-    // Incremental re-synthesis breakdown of the iterative flow: how much
-    // FlowMap work was reused across iterations, and what it bought.
-    println!();
-    println!(
-        "{:<15} | {:>8} {:>8} {:>6} | {:>5} {:>5} | {:>8} {:>8}",
-        "Benchmark", "lbl(re)", "lbl(new)", "re%", "incrS", "fullS", "tFull(s)", "tIncr(s)"
-    );
-    for c in &rows {
-        let t = &c.iter_trace;
-        println!(
-            "{:<15} | {:>8} {:>8} {:>5.0}% | {:>5} {:>5} | {:>8.2} {:>8.2}",
-            c.name,
-            t.labels_reused,
-            t.labels_computed,
-            100.0 * t.label_reuse_rate(),
-            t.incr_synths,
-            t.full_synths,
-            t.synth_full.as_secs_f64(),
-            t.synth_incremental.as_secs_f64(),
-        );
-    }
     // MILP solver breakdown of the iterative flow: sparse revised simplex
     // work (pivots, refactorizations), branch-and-bound nodes (explored vs
     // pruned by bound), rows removed by model canonicalization, presolve
@@ -385,29 +364,6 @@ pub fn run_table1_jobs(
             format!("{}/{}", t.milp_warm_hits, t.milp_warm_misses),
             truncated_of_solves(&c.prev_trace),
             truncated_of_solves(t),
-        );
-    }
-    // Synthesis-lane breakdown: worker-pool width and the deterministic
-    // parallel task counts (unit-characterization tasks of the baseline
-    // flow, LUTs packed by the cover pass) next to the label-reuse rate —
-    // the knobs and yields of the parallel synthesis lane.
-    println!();
-    println!(
-        "{:<15} | {:>5} | {:>9} {:>9} | {:>9} {:>9} | {:>6}",
-        "Benchmark", "jobs", "unitT(P)", "unitT(I)", "packed(P)", "packed(I)", "reuse%"
-    );
-    for c in &rows {
-        let p = &c.prev_trace;
-        let t = &c.iter_trace;
-        println!(
-            "{:<15} | {:>5} | {:>9} {:>9} | {:>9} {:>9} | {:>5.0}%",
-            c.name,
-            p.synth_jobs.max(t.synth_jobs),
-            p.par_unit_tasks,
-            t.par_unit_tasks,
-            p.par_pack_tasks,
-            t.par_pack_tasks,
-            100.0 * t.label_reuse_rate(),
         );
     }
     // Simulation breakdown: where the cycle-level runs happen (both flows'
@@ -471,9 +427,6 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
              \"cache_hit_rate\": {:.4}, \"et_prev_ns\": {:.1}, \"et_iter_ns\": {:.1}, \
              \"luts_prev\": {}, \"luts_iter\": {}, \"ffs_prev\": {}, \"ffs_iter\": {}, \
              \"levels_prev\": {}, \"levels_iter\": {}, \"iterations\": {}, \"converged\": {}, \
-             \"labels_reused\": {}, \"labels_computed\": {}, \"label_reuse_rate\": {:.4}, \
-             \"incr_synths\": {}, \"full_synths\": {}, \
-             \"synth_full_s\": {:.3}, \"synth_incr_s\": {:.3}, \
              \"milp_s\": {:.3}, \"milp_pivots\": {}, \"milp_nodes\": {}, \
              \"milp_refactors\": {}, \"milp_rows_dropped\": {}, \
              \"milp_nodes_pruned\": {}, \
@@ -483,7 +436,7 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
              \"prev_milp_fallbacks\": {}, \
              \"sim_s\": {:.3}, \"sim_runs\": {}, \"sim_cycles\": {}, \
              \"slack_trials\": {}, \"slack_trials_pruned\": {}, \
-             \"synth_jobs\": {}, \"par_unit_tasks\": {}, \"par_pack_tasks\": {}, \
+             \"par_unit_tasks\": {}, \
              \"meas_sim_s\": {:.3}, \"meas_sim_runs\": {}, \"meas_sim_cycles\": {}}}{}\n",
             c.name,
             c.wall_s,
@@ -500,13 +453,6 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
             c.iter.logic_levels,
             c.iter_iterations,
             c.iter_converged,
-            t.labels_reused,
-            t.labels_computed,
-            t.label_reuse_rate(),
-            t.incr_synths,
-            t.full_synths,
-            t.synth_full.as_secs_f64(),
-            t.synth_incremental.as_secs_f64(),
             t.milp.as_secs_f64(),
             t.milp_pivots,
             t.milp_nodes,
@@ -527,9 +473,7 @@ pub fn comparisons_to_json(rows: &[KernelComparison], total_wall_s: f64, jobs: u
             c.prev_trace.sim_cycles + t.sim_cycles,
             c.prev_trace.slack_trials + t.slack_trials,
             c.prev_trace.slack_trials_pruned + t.slack_trials_pruned,
-            c.prev_trace.synth_jobs.max(t.synth_jobs),
             c.prev_trace.par_unit_tasks + t.par_unit_tasks,
-            c.prev_trace.par_pack_tasks + t.par_pack_tasks,
             c.meas_sim.time.as_secs_f64(),
             c.meas_sim.runs,
             c.meas_sim.cycles,
@@ -590,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn json_rows_carry_incremental_synthesis_fields() {
+    fn json_rows_carry_trace_fields() {
         let report = frequenz_core::CircuitReport {
             luts: 10,
             ffs: 20,
@@ -601,10 +545,6 @@ mod tests {
             buffers: 3,
         };
         let iter_trace = FlowTrace {
-            labels_reused: 40,
-            labels_computed: 10,
-            incr_synths: 2,
-            full_synths: 1,
             milp_pivots: 123,
             milp_nodes: 7,
             milp_refactors: 2,
@@ -620,9 +560,7 @@ mod tests {
             sim_cycles: 4242,
             slack_trials: 30,
             slack_trials_pruned: 4,
-            synth_jobs: 4,
             par_unit_tasks: 6,
-            par_pack_tasks: 55,
             ..FlowTrace::default()
         };
         let row = KernelComparison {
@@ -649,11 +587,6 @@ mod tests {
             wall_s: 0.5,
         };
         let j = comparisons_to_json(&[row], 0.5, 1);
-        assert!(j.contains("\"labels_reused\": 40"));
-        assert!(j.contains("\"label_reuse_rate\": 0.8000"));
-        assert!(j.contains("\"incr_synths\": 2"));
-        assert!(j.contains("\"full_synths\": 1"));
-        assert!(j.contains("\"synth_full_s\": 0.000"));
         assert!(j.contains("\"milp_pivots\": 123"));
         assert!(j.contains("\"milp_nodes\": 7"));
         assert!(j.contains("\"milp_refactors\": 2"));
@@ -672,9 +605,7 @@ mod tests {
         assert!(j.contains("\"sim_cycles\": 4242"));
         assert!(j.contains("\"slack_trials\": 30"));
         assert!(j.contains("\"slack_trials_pruned\": 4"));
-        assert!(j.contains("\"synth_jobs\": 4"));
         assert!(j.contains("\"par_unit_tasks\": 6"));
-        assert!(j.contains("\"par_pack_tasks\": 55"));
         assert!(j.contains("\"meas_sim_s\": 0.012"));
         assert!(j.contains("\"meas_sim_runs\": 4"));
         assert!(j.contains("\"meas_sim_cycles\": 999"));

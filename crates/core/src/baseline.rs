@@ -181,7 +181,6 @@ pub fn optimize_baseline_with_cache(
         characterize_units_jobs(base, opts.k, opts.jobs)
     })?;
     trace.par_unit_tasks += unit_tasks;
-    trace.synth_jobs = trace.synth_jobs.max(opts.jobs);
     let timing = timed(&mut trace.timing, || {
         baseline_timing_graph(base, &unit_levels)
     });

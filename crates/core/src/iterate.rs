@@ -12,7 +12,7 @@ use crate::cfdfc::extract_cfdfcs_traced;
 use crate::lutdfg::{map_lut_edges_cached, ClassifyCache, LutDfgMap};
 use crate::penalty::compute_penalties;
 use crate::place::{place_buffers_warm, PlaceError, PlacementProblem};
-use crate::synth::{SynthCache, SynthHandle, SynthOptions, Synthesis};
+use crate::synth::{SynthCache, SynthOptions, Synthesis};
 use crate::timing::TimingGraph;
 use crate::trace::{timed, FlowTrace, SimStats};
 use dataflow::collections::{HashMap, HashSet};
@@ -316,13 +316,10 @@ pub fn optimize_iterative_with_cache(
     let mut iterations = Vec::new();
     let mut best: Option<(u32, Vec<ChannelId>)> = None;
 
-    // Incremental-re-synthesis state: the previous iteration's synthesis
-    // handle serves as the basis for the next one (FlowMap labels of
-    // structurally unchanged cones are reused), the classify memo carries
-    // LUT-edge classifications across iterations (they depend only on the
-    // base topology), and the previous timing model is reused wholesale
-    // when the fixed-buffer set did not change the synthesis.
-    let mut prev_handle: Option<SynthHandle> = None;
+    // Cross-iteration state: the classify memo carries LUT-edge
+    // classifications across iterations (they depend only on the base
+    // topology), and the previous timing model is reused wholesale when
+    // the synthesis cache served the same circuit again.
     let mut prev_model: Option<(Arc<Synthesis>, LutDfgMap, TimingGraph)> = None;
     let mut classify_cache = ClassifyCache::default();
 
@@ -338,8 +335,9 @@ pub fn optimize_iterative_with_cache(
         // derive the mapping-aware timing model.
         let g_cur = apply_buffers(base, &fixed);
 
-        let cur_handle = synth_step(&mut trace, cache, &g_cur, &synth_opts, prev_handle.as_ref())?;
-        let synth = cur_handle.synthesis().clone();
+        let synth = timed(&mut trace.synth, || {
+            cache.synthesize_opts(&g_cur, &synth_opts)
+        })?;
         let (map, timing) = match &prev_model {
             Some((ps, pm, pt)) if Arc::ptr_eq(ps, &synth) => (pm.clone(), pt.clone()),
             _ => {
@@ -382,11 +380,11 @@ pub fn optimize_iterative_with_cache(
         trace.record_placement(&placement);
 
         // Re-synthesize with the proposed buffers; check the real levels.
-        // The circuit just synthesized is the natural basis: the proposal
-        // extends the fixed set, so most basic blocks are untouched.
         let g_new = apply_buffers(base, &placement.buffers);
-        let new_handle = synth_step(&mut trace, cache, &g_new, &synth_opts, Some(&cur_handle))?;
-        let achieved = new_handle.synthesis().logic_levels();
+        let achieved = timed(&mut trace.synth, || {
+            cache.synthesize_opts(&g_new, &synth_opts)
+        })?
+        .logic_levels();
 
         let mean_penalty = if placement.buffers.is_empty() {
             0.0
@@ -435,14 +433,11 @@ pub fn optimize_iterative_with_cache(
                 )?;
                 if widened.len() != best_buffers.len() {
                     best_buffers = widened;
-                    if let Ok(s2) = synth_step(
-                        &mut trace,
-                        cache,
-                        &apply_buffers(base, &best_buffers),
-                        &synth_opts,
-                        Some(&cur_handle),
-                    ) {
-                        best_levels = s2.synthesis().logic_levels();
+                    let g_best = apply_buffers(base, &best_buffers);
+                    if let Ok(s2) = timed(&mut trace.synth, || {
+                        cache.synthesize_opts(&g_best, &synth_opts)
+                    }) {
+                        best_levels = s2.logic_levels();
                     }
                 }
             }
@@ -473,40 +468,8 @@ pub fn optimize_iterative_with_cache(
             mean_penalty,
         });
         fixed = new_fixed;
-        prev_handle = Some(cur_handle);
     }
     unreachable!("loop returns on the last iteration");
-}
-
-/// Runs one cached synthesis, splitting its wall clock and label counters
-/// into the incremental/full lanes of the trace.
-fn synth_step(
-    trace: &mut FlowTrace,
-    cache: &SynthCache,
-    g: &Graph,
-    opts: &SynthOptions,
-    basis: Option<&SynthHandle>,
-) -> Result<SynthHandle, MapError> {
-    let start = Instant::now();
-    let out = cache.synthesize_with_basis_opts(g, opts, basis);
-    let dt = start.elapsed();
-    trace.synth += dt;
-    trace.synth_jobs = trace.synth_jobs.max(opts.jobs);
-    if let Ok((_, delta)) = &out {
-        if !delta.cache_hit {
-            if delta.incremental {
-                trace.synth_incremental += dt;
-                trace.incr_synths += 1;
-            } else {
-                trace.synth_full += dt;
-                trace.full_synths += 1;
-            }
-        }
-        trace.labels_reused += delta.labels_reused as u64;
-        trace.labels_computed += delta.labels_computed as u64;
-        trace.par_pack_tasks += delta.luts_packed as u64;
-    }
-    out.map(|(h, _)| h)
 }
 
 /// The paper's subset rule: keep the previously fixed buffers, then add —
@@ -629,21 +592,6 @@ mod tests {
             ..FlowOptions::default()
         });
         assert!(FlowOptions::default().validate().is_ok());
-    }
-
-    #[test]
-    fn iterative_flow_reports_incremental_reuse() {
-        let k = kernels::gsumif(16);
-        let r = optimize_iterative(k.graph(), k.back_edges(), &FlowOptions::default()).unwrap();
-        let t = &r.trace;
-        if t.iterations > 1 {
-            assert!(
-                t.incr_synths > 0,
-                "multi-iteration runs must synthesize incrementally"
-            );
-            assert!(t.labels_reused > 0, "no FlowMap labels were reused");
-        }
-        assert!(t.synth_full + t.synth_incremental <= t.synth);
     }
 
     #[test]

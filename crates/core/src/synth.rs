@@ -5,8 +5,8 @@
 
 use dataflow::collections::HashMap;
 use dataflow::{fingerprint_graph, Fingerprint, Graph};
-use lutmap::{map_netlist, map_netlist_with_seed, LutNetwork, MapError, MapOptions, MapSeed};
-use netlist::{elaborate, match_netlists, Netlist, OptStats};
+use lutmap::{map_netlist, LutNetwork, MapError, MapOptions};
+use netlist::{elaborate, Netlist, OptStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -105,87 +105,6 @@ pub fn synthesize_opts(g: &Graph, opts: &SynthOptions) -> Result<Synthesis, MapE
     })
 }
 
-/// One cached synthesis plus the by-products incremental re-synthesis
-/// needs: the FlowMap labels/cuts ([`MapSeed`]) and the K it ran with.
-#[derive(Debug)]
-struct SynthEntry {
-    synthesis: Arc<Synthesis>,
-    seed: MapSeed,
-    k: usize,
-}
-
-/// A shareable handle to one cached synthesis.
-///
-/// Beyond the [`Synthesis`] itself, the handle retains the run's FlowMap
-/// labels, so it can serve as the *basis* of a later
-/// [`SynthCache::synthesize_with_basis`] call: gates the new netlist
-/// shares with this one skip the per-gate max-flow labeling.
-#[derive(Debug, Clone)]
-pub struct SynthHandle(Arc<SynthEntry>);
-
-impl SynthHandle {
-    /// The synthesis artifacts this handle refers to.
-    pub fn synthesis(&self) -> &Arc<Synthesis> {
-        &self.0.synthesis
-    }
-}
-
-/// What one [`SynthCache::synthesize_with_basis`] call actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SynthDelta {
-    /// Served from the cache — nothing was recomputed.
-    pub cache_hit: bool,
-    /// A basis was used: labels were reused across netlists.
-    pub incremental: bool,
-    /// FlowMap labels copied from the basis through the matching.
-    pub labels_reused: usize,
-    /// FlowMap labels computed by the max-flow test from scratch.
-    pub labels_computed: usize,
-    /// Live logic gates matched against the basis netlist.
-    pub matched_gates: usize,
-    /// Live logic gates with no basis counterpart.
-    pub unmatched_gates: usize,
-    /// LUT packing tasks executed (one per emitted LUT) — a deterministic
-    /// task count, identical at every job count.
-    pub luts_packed: usize,
-}
-
-fn synthesize_entry(
-    g: &Graph,
-    opts: &SynthOptions,
-    basis: Option<&SynthEntry>,
-) -> Result<(SynthEntry, SynthDelta), MapError> {
-    let mut nl = elaborate(g)?.netlist;
-    let opt_stats = nl.optimize();
-    let map_opts = opts.map_options();
-    let mut delta = SynthDelta::default();
-    let (luts, seed, stats) = match basis {
-        Some(b) => {
-            let m = match_netlists(&b.synthesis.netlist, &nl);
-            delta.incremental = true;
-            delta.matched_gates = m.matched_logic;
-            delta.unmatched_gates = m.unmatched_logic;
-            map_netlist_with_seed(&nl, &map_opts, Some((&b.seed, &m)))?
-        }
-        None => map_netlist_with_seed(&nl, &map_opts, None)?,
-    };
-    delta.labels_reused = stats.labels_reused;
-    delta.labels_computed = stats.labels_computed;
-    delta.luts_packed = stats.luts_packed;
-    Ok((
-        SynthEntry {
-            synthesis: Arc::new(Synthesis {
-                netlist: nl,
-                luts,
-                opt_stats,
-            }),
-            seed,
-            k: opts.k,
-        },
-        delta,
-    ))
-}
-
 /// A memoizing synthesis front end.
 ///
 /// The iterative flow synthesizes structurally identical graphs over and
@@ -200,44 +119,17 @@ fn synthesize_entry(
 /// lock is *not* held while a miss synthesizes, so concurrent misses on
 /// different graphs proceed in parallel (a rare duplicate miss on the
 /// same key just wastes one synthesis run).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SynthCache {
-    entries: Mutex<HashMap<(Fingerprint, usize), Arc<SynthEntry>>>,
+    entries: Mutex<HashMap<(Fingerprint, usize), Arc<Synthesis>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    incremental: bool,
-}
-
-impl Default for SynthCache {
-    fn default() -> Self {
-        SynthCache {
-            entries: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            incremental: true,
-        }
-    }
 }
 
 impl SynthCache {
-    /// Creates an empty cache with incremental re-synthesis enabled.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a cache that ignores every basis and always synthesizes in
-    /// full. The equivalence tests pit this against [`SynthCache::new`] to
-    /// check that incremental reuse is bit-identical to full re-synthesis.
-    pub fn forced_full() -> Self {
-        SynthCache {
-            incremental: false,
-            ..Self::default()
-        }
-    }
-
-    /// Whether [`SynthCache::synthesize_with_basis`] honours its basis.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
     }
 
     /// Synthesizes `g`, serving structurally identical repeats from memory.
@@ -246,11 +138,12 @@ impl SynthCache {
     ///
     /// Same contract as [`synthesize`]; errors are not cached.
     pub fn synthesize(&self, g: &Graph, k: usize) -> Result<Arc<Synthesis>, MapError> {
-        self.synthesize_with_basis(g, k, None)
-            .map(|(h, _)| h.0.synthesis.clone())
+        self.synthesize_opts(g, &SynthOptions::with_k(k))
     }
 
-    /// [`SynthCache::synthesize`] with explicit [`SynthOptions`].
+    /// [`SynthCache::synthesize`] with explicit [`SynthOptions`]. The cache
+    /// key remains `(fingerprint, K)` — the job count cannot change any
+    /// result, only how fast it is produced.
     ///
     /// # Errors
     ///
@@ -260,66 +153,20 @@ impl SynthCache {
         g: &Graph,
         opts: &SynthOptions,
     ) -> Result<Arc<Synthesis>, MapError> {
-        self.synthesize_with_basis_opts(g, opts, None)
-            .map(|(h, _)| h.0.synthesis.clone())
-    }
-
-    /// Like [`SynthCache::synthesize`], but on a miss reuses per-gate
-    /// FlowMap labels from `basis` wherever the new optimized netlist is
-    /// structurally identical to the basis netlist. The result is
-    /// bit-identical to a full synthesis; only the work differs. A basis
-    /// computed with a different K is ignored (labels depend on K), as is
-    /// every basis when the cache was built with
-    /// [`SynthCache::forced_full`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`synthesize`]; errors are not cached.
-    pub fn synthesize_with_basis(
-        &self,
-        g: &Graph,
-        k: usize,
-        basis: Option<&SynthHandle>,
-    ) -> Result<(SynthHandle, SynthDelta), MapError> {
-        self.synthesize_with_basis_opts(g, &SynthOptions::with_k(k), basis)
-    }
-
-    /// [`SynthCache::synthesize_with_basis`] with explicit
-    /// [`SynthOptions`]. The cache key remains `(fingerprint, K)` — the
-    /// job count cannot change any result, only how fast it is produced.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`synthesize`]; errors are not cached.
-    pub fn synthesize_with_basis_opts(
-        &self,
-        g: &Graph,
-        opts: &SynthOptions,
-        basis: Option<&SynthHandle>,
-    ) -> Result<(SynthHandle, SynthDelta), MapError> {
         let key = (fingerprint_graph(g), opts.k);
         if let Some(hit) = self.entries.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((
-                SynthHandle(hit),
-                SynthDelta {
-                    cache_hit: true,
-                    ..SynthDelta::default()
-                },
-            ));
+            return Ok(hit);
         }
-        let basis = basis.filter(|b| self.incremental && b.0.k == opts.k);
-        let (entry, delta) = synthesize_entry(g, opts, basis.map(|b| &*b.0))?;
+        let synthesis = Arc::new(synthesize_opts(g, opts)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(entry);
-        let shared = self
+        Ok(self
             .entries
             .lock()
             .unwrap()
             .entry(key)
-            .or_insert(entry)
-            .clone();
-        Ok((SynthHandle(shared), delta))
+            .or_insert(synthesis)
+            .clone())
     }
 
     /// Requests served from memory so far.
@@ -394,56 +241,6 @@ mod tests {
         assert_eq!(cached.logic_levels(), direct.logic_levels());
         assert_eq!(cached.lut_count(), direct.lut_count());
         assert_eq!(cached.ff_count(), direct.ff_count());
-    }
-
-    #[test]
-    fn basis_reuse_is_bit_identical_to_full_synthesis() {
-        use dataflow::BufferSpec;
-        let kern = kernels::gsum(8);
-        let g = kern.seeded_graph();
-        // A second configuration: one more buffered channel.
-        let mut g2 = g.clone();
-        let extra = g2
-            .channels()
-            .find(|(_, c)| !c.buffer().opaque)
-            .map(|(id, _)| id)
-            .unwrap();
-        g2.set_buffer(extra, BufferSpec::FULL);
-
-        let cache = SynthCache::new();
-        let (base, d0) = cache.synthesize_with_basis(&g, 6, None).unwrap();
-        assert!(!d0.cache_hit && !d0.incremental);
-        assert!(d0.labels_reused == 0 && d0.labels_computed > 0);
-        let (incr, d1) = cache.synthesize_with_basis(&g2, 6, Some(&base)).unwrap();
-        assert!(d1.incremental, "basis must be honoured");
-        assert!(d1.labels_reused > 0, "overlapping cones must be reused");
-        assert!(d1.matched_gates > 0);
-
-        let full = SynthCache::forced_full();
-        let (fref, d2) = full.synthesize_with_basis(&g2, 6, Some(&base)).unwrap();
-        assert!(!d2.incremental, "forced-full must ignore the basis");
-        let (a, b) = (incr.synthesis(), fref.synthesis());
-        assert_eq!(a.logic_levels(), b.logic_levels());
-        assert_eq!(a.lut_count(), b.lut_count());
-        assert_eq!(a.ff_count(), b.ff_count());
-        for ((_, la), (_, lb)) in a.luts.luts().zip(b.luts.luts()) {
-            assert_eq!(la.root(), lb.root());
-            assert_eq!(la.inputs(), lb.inputs());
-            assert_eq!(la.gates(), lb.gates());
-            assert_eq!(la.origin(), lb.origin());
-            assert_eq!(la.level(), lb.level());
-        }
-    }
-
-    #[test]
-    fn basis_with_different_k_is_ignored() {
-        let kern = kernels::gsum(8);
-        let g = kern.seeded_graph();
-        let cache = SynthCache::new();
-        let (base, _) = cache.synthesize_with_basis(&g, 6, None).unwrap();
-        let (_, d) = cache.synthesize_with_basis(&g, 4, Some(&base)).unwrap();
-        assert!(!d.incremental, "K mismatch must fall back to full");
-        assert_eq!(d.labels_reused, 0);
     }
 
     #[test]

@@ -69,22 +69,9 @@ pub struct FlowTrace {
     pub milp_fallbacks: u64,
     /// Figure-4 iterations executed.
     pub iterations: usize,
-    /// Portion of `synth` spent in full (basis-less) synthesis runs.
-    pub synth_full: Duration,
-    /// Portion of `synth` spent in incremental (basis-seeded) runs.
-    pub synth_incremental: Duration,
-    /// Cache misses that ran incrementally against a basis.
-    pub incr_synths: u64,
-    /// Cache misses that synthesized from scratch.
-    pub full_synths: u64,
-    /// FlowMap labels copied from a basis instead of recomputed.
-    pub labels_reused: u64,
-    /// FlowMap labels computed by the max-flow test.
-    pub labels_computed: u64,
     /// Wall clock inside cycle-accurate simulator runs — CFDFC profiling
     /// and slack-matching trials. A *cross-cutting* lane: it overlaps
-    /// `timing` and `slack` (like `synth_full`/`synth_incremental` overlap
-    /// `synth`) rather than adding a disjoint phase.
+    /// `timing` and `slack` rather than adding a disjoint phase.
     pub sim: Duration,
     /// Simulator runs started (completed, timed out, or failed).
     pub sim_runs: u64,
@@ -100,16 +87,9 @@ pub struct FlowTrace {
     /// Slack trials aborted by the incumbent-bound early exit (they spent
     /// their full cycle cap without beating the round's best).
     pub slack_trials_pruned: u64,
-    /// Largest worker-pool width used by the synthesis lane (labeling,
-    /// LUT packing, unit characterization). Deterministic: it reports the
-    /// configured width, not scheduling behaviour.
-    pub synth_jobs: usize,
     /// Independent unit-characterization tasks fanned out by the baseline
     /// flow (one per unique unit signature) — jobs-invariant by design.
     pub par_unit_tasks: u64,
-    /// LUTs packed by the (potentially parallel) cover-construction pass
-    /// across all syntheses — jobs-invariant by design.
-    pub par_pack_tasks: u64,
 }
 
 /// Wall clock and work counters of a batch of simulator runs, tallied by
@@ -145,16 +125,6 @@ impl FlowTrace {
             0.0
         } else {
             self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of FlowMap labels served from a basis (0 when none ran).
-    pub fn label_reuse_rate(&self) -> f64 {
-        let total = self.labels_reused + self.labels_computed;
-        if total == 0 {
-            0.0
-        } else {
-            self.labels_reused as f64 / total as f64
         }
     }
 
@@ -206,21 +176,13 @@ impl FlowTrace {
         self.milp_truncated += other.milp_truncated;
         self.milp_fallbacks += other.milp_fallbacks;
         self.iterations += other.iterations;
-        self.synth_full += other.synth_full;
-        self.synth_incremental += other.synth_incremental;
-        self.incr_synths += other.incr_synths;
-        self.full_synths += other.full_synths;
-        self.labels_reused += other.labels_reused;
-        self.labels_computed += other.labels_computed;
         self.sim += other.sim;
         self.sim_runs += other.sim_runs;
         self.sim_cycles += other.sim_cycles;
         self.sim_compiles += other.sim_compiles;
         self.slack_trials += other.slack_trials;
         self.slack_trials_pruned += other.slack_trials_pruned;
-        self.synth_jobs = self.synth_jobs.max(other.synth_jobs);
         self.par_unit_tasks += other.par_unit_tasks;
-        self.par_pack_tasks += other.par_pack_tasks;
     }
 }
 
@@ -228,19 +190,15 @@ impl fmt::Display for FlowTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "synth {:.2}s (full {:.2}s + incr {:.2}s) | map {:.2}s | timing {:.2}s | \
+            "synth {:.2}s | map {:.2}s | timing {:.2}s | \
              milp {:.2}s ({} pivots, {} nodes, {} refactors, {} rows dropped, \
              {} pruned, {} bounds tightened, \
              {} warm hits/{} misses, {} truncated + {} fallbacks/{} solves) | \
              slack {:.2}s ({} trials, {} pruned) | \
              sim {:.2}s ({} runs, {} cycles, {} compiles) | \
              total {:.2}s | cache {}/{} hits ({:.0}%) | \
-             {} incr / {} full synths | labels {}/{} reused ({:.0}%) | \
-             {} cut rounds | {} iterations | \
-             synth jobs {} ({} unit tasks, {} packed)",
+             {} cut rounds | {} iterations | {} unit tasks",
             self.synth.as_secs_f64(),
-            self.synth_full.as_secs_f64(),
-            self.synth_incremental.as_secs_f64(),
             self.map.as_secs_f64(),
             self.timing.as_secs_f64(),
             self.milp.as_secs_f64(),
@@ -266,16 +224,9 @@ impl fmt::Display for FlowTrace {
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             100.0 * self.cache_hit_rate(),
-            self.incr_synths,
-            self.full_synths,
-            self.labels_reused,
-            self.labels_reused + self.labels_computed,
-            100.0 * self.label_reuse_rate(),
             self.cut_rounds,
             self.iterations,
-            self.synth_jobs,
             self.par_unit_tasks,
-            self.par_pack_tasks,
         )
     }
 }
@@ -308,7 +259,6 @@ mod tests {
             cut_rounds: 2,
             iterations: 1,
             synth: Duration::from_millis(10),
-            synth_jobs: 4,
             par_unit_tasks: 2,
             ..FlowTrace::default()
         };
@@ -329,19 +279,13 @@ mod tests {
             milp_fallbacks: 1,
             iterations: 4,
             synth: Duration::from_millis(5),
-            synth_incremental: Duration::from_millis(2),
-            incr_synths: 2,
-            labels_reused: 10,
-            labels_computed: 30,
             sim: Duration::from_millis(7),
             sim_runs: 3,
             sim_cycles: 900,
             sim_compiles: 2,
             slack_trials: 12,
             slack_trials_pruned: 5,
-            synth_jobs: 2,
             par_unit_tasks: 3,
-            par_pack_tasks: 40,
             ..FlowTrace::default()
         };
         a.absorb(&b);
@@ -361,19 +305,13 @@ mod tests {
         assert_eq!(a.milp_fallbacks, 1);
         assert_eq!(a.iterations, 5);
         assert_eq!(a.synth, Duration::from_millis(15));
-        assert_eq!(a.synth_incremental, Duration::from_millis(2));
-        assert_eq!(a.incr_synths, 2);
-        assert_eq!(a.labels_reused, 10);
         assert_eq!(a.sim, Duration::from_millis(7));
         assert_eq!(a.sim_runs, 3);
         assert_eq!(a.sim_cycles, 900);
         assert_eq!(a.sim_compiles, 2);
         assert_eq!(a.slack_trials, 12);
         assert_eq!(a.slack_trials_pruned, 5);
-        // Worker-pool width absorbs via max, task counts via sum.
-        assert_eq!(a.synth_jobs, 4);
         assert_eq!(a.par_unit_tasks, 5);
-        assert_eq!(a.par_pack_tasks, 40);
     }
 
     #[test]
@@ -433,15 +371,6 @@ mod tests {
             line.contains("sim 0.02s (4 runs, 300 cycles, 2 compiles)"),
             "{line}"
         );
-    }
-
-    #[test]
-    fn label_reuse_rate_handles_zero_and_mixes() {
-        let mut t = FlowTrace::default();
-        assert_eq!(t.label_reuse_rate(), 0.0);
-        t.labels_reused = 30;
-        t.labels_computed = 10;
-        assert!((t.label_reuse_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   integer/binary variables with incumbent pruning and warm-started
 //!   node bases ([`Model::set_jobs`]),
 //! * constraint-row canonicalization ([`Model::canonicalize`]),
-//! * a lazy-cut loop ([`Model::solve_with_cuts`]) used by the buffer
-//!   placer to add critical-path covering constraints on demand.
+//! * cross-solve warm starts ([`MilpWarmStore`], [`Model::solve_warm`]).
 //!
 //! # The sparse revised simplex
 //!
@@ -65,8 +64,7 @@
 //! about a quarter of the flow's time and returned worse incumbents, and
 //! on the warm iterative flow it saved about 4%. The buffer placer's
 //! critical-path covering rows are constraints of the model itself, added
-//! lazily between solves ([`Model::solve_with_cuts`] is the in-crate form
-//! of that loop).
+//! lazily between solves by the placer's own covering loop.
 //!
 //! # Deterministic parallel best-first branch & bound
 //!
@@ -148,4 +146,4 @@ pub use model::{
 };
 pub use presolve::PresolveReport;
 pub use simplex::WarmBasis;
-pub use warm::{shape_key, MilpWarmStore, WarmStart};
+pub use warm::{MilpWarmStore, WarmStart};

@@ -567,34 +567,6 @@ impl Model {
             root_basis: lp.basis,
         })
     }
-
-    /// Solves with lazy cuts: after each integer-optimal solution the
-    /// callback may return additional constraints (cuts); solving repeats
-    /// until the callback returns no cuts. Returns the final solution and
-    /// the number of cut rounds.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`]; infeasibility may also arise from the cuts.
-    pub fn solve_with_cuts<F>(
-        &mut self,
-        max_rounds: usize,
-        mut cuts: F,
-    ) -> Result<(Solution, usize), SolveError>
-    where
-        F: FnMut(&Solution) -> Vec<Constraint>,
-    {
-        let mut rounds = 0;
-        loop {
-            let sol = self.solve()?;
-            let new_cuts = cuts(&sol);
-            if new_cuts.is_empty() || rounds >= max_rounds {
-                return Ok((sol, rounds));
-            }
-            rounds += 1;
-            self.constraints.extend(new_cuts);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -696,29 +668,6 @@ mod tests {
         m.add_constraint(vec![(x, 2.0)], Cmp::Le, 3.0);
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lazy_cuts_tighten() {
-        // max x + y, x,y in [0,1] binary; cut rounds force x + y <= 1.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
-        let (sol, rounds) = m
-            .solve_with_cuts(10, |s| {
-                if s.value(x) + s.value(y) > 1.5 {
-                    vec![Constraint {
-                        terms: vec![(x, 1.0), (y, 1.0)],
-                        op: Cmp::Le,
-                        rhs: 1.0,
-                    }]
-                } else {
-                    Vec::new()
-                }
-            })
-            .unwrap();
-        assert_eq!(rounds, 1);
-        assert!((sol.objective - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Benchmarks the synthesis lane (dense-array FlowMap mapper at jobs
-# 1/2/4/8 and the self-seeded incremental lane vs the retained HashMap
-# reference labeler) on the nine kernels' elaborated gate netlists,
-# leaving BENCH_synth.json behind (per-kernel wall clocks, speedups,
-# LUT/cut statistics and the bit-identity verdicts). Usage:
+# 1/2/4/8 vs the retained HashMap reference labeler) on the nine kernels'
+# elaborated gate netlists, leaving BENCH_synth.json behind (per-kernel
+# wall clocks, speedups, LUT/cut statistics and the bit-identity
+# verdicts). Usage:
 #
 #   ./scripts/bench_synth.sh [--repeats N] [--jobs N] [--out FILE] [--baseline FILE]
 #
@@ -49,6 +49,5 @@ echo "wrote $out" >&2
 # Surface the headline numbers recorded in the JSON.
 layout=$(grep -o '"dense_layout_speedup": [0-9.]*' "$out" | head -1 | awk '{print $2}')
 headline=$(grep -o '"headline_speedup": [0-9.]*' "$out" | head -1 | awk '{print $2}')
-seeded=$(grep -o '"seeded_speedup": [0-9.]*' "$out" | head -1 | awk '{print $2}')
 ident=$(grep -o '"lanes_bit_identical": \(true\|false\)' "$out" | head -1 | awk '{print $2}')
-echo "dense layout speedup: ${layout}x, headline (parallel) speedup: ${headline}x, seeded speedup: ${seeded}x, lanes bit-identical: ${ident}" >&2
+echo "dense layout speedup: ${layout}x, headline (parallel) speedup: ${headline}x, lanes bit-identical: ${ident}" >&2

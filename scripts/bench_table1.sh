@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates Table I in release mode and leaves BENCH_table1.json behind
-# (per-kernel wall-clock, synthesis-cache hit rates, incremental
-# re-synthesis savings — labels reused, incremental vs full synth seconds,
-# dirty basic blocks — and the Table I metrics). Usage:
+# (per-kernel wall-clock, synthesis-cache hit rates, MILP and simulation
+# work counters, and the Table I metrics). Usage:
 #
 #   ./scripts/bench_table1.sh [--jobs N] [--out FILE]
 #
@@ -28,14 +27,3 @@ fi
 
 cargo run -p frequenz-bench --release --bin table1 -- "${args[@]}"
 echo "wrote $out" >&2
-
-# Summarize the incremental re-synthesis savings recorded in the JSON:
-# total FlowMap labels reused vs computed, and the synth wall-clock split.
-reused=$(grep -o '"labels_reused": [0-9]*' "$out" | awk '{s+=$2} END {print s+0}')
-computed=$(grep -o '"labels_computed": [0-9]*' "$out" | awk '{s+=$2} END {print s+0}')
-full_s=$(grep -o '"synth_full_s": [0-9.]*' "$out" | awk '{s+=$2} END {printf "%.1f", s}')
-incr_s=$(grep -o '"synth_incr_s": [0-9.]*' "$out" | awk '{s+=$2} END {printf "%.1f", s}')
-total=$((reused + computed))
-if [[ "$total" -gt 0 ]]; then
-  echo "incremental synth savings: ${reused}/${total} labels reused, ${full_s}s full + ${incr_s}s incremental synth" >&2
-fi

@@ -4,11 +4,13 @@
 //! tolerance), same feasibility verdict, same `truncated` flag — on
 //! random LPs, random MILPs, and the nine kernels' *real* buffer-placement
 //! models. The deterministic parallel branch-and-bound must additionally
-//! be bit-identical across job counts.
+//! be bit-identical across job counts, and cross-iteration warm starts
+//! must never change a flow's outcome.
 
 use frequenz_core::{
-    build_placement_model, compute_penalties, extract_cfdfcs, map_lut_edges, synthesize,
-    FlowOptions, PlacementProblem, TimingGraph,
+    build_placement_model, compute_penalties, extract_cfdfcs, map_lut_edges,
+    optimize_iterative_with_cache, synthesize, FlowOptions, FlowResult, PlacementProblem,
+    SynthCache, TimingGraph,
 };
 use milp::{Cmp, Engine, Model, Sense, Solution, SolveError, WarmStart};
 use proptest::prelude::*;
@@ -547,5 +549,85 @@ fn dual_warm_resolve_agrees_on_all_kernel_placement_models() {
     assert!(
         any_dual > 0,
         "no kernel's tightened re-solve took a dual pivot — the path is dead"
+    );
+}
+
+/// Reduced flow options: enough iterations for cross-iteration warm starts
+/// to engage, small enough budgets to keep the double flow run (warm and
+/// cold) fast. A single CFDFC keeps the MILP small.
+fn test_opts() -> FlowOptions {
+    FlowOptions {
+        max_iterations: 3,
+        sim_budget: 10_000,
+        max_cfdfcs: 1,
+        max_cut_rounds: 4,
+        slack_matching: false,
+        ..FlowOptions::default()
+    }
+}
+
+fn assert_results_identical(kernel: &str, warm: &FlowResult, cold: &FlowResult) {
+    assert_eq!(
+        warm.buffers, cold.buffers,
+        "{kernel}: buffer placement diverged"
+    );
+    assert_eq!(
+        warm.achieved_levels, cold.achieved_levels,
+        "{kernel}: achieved levels diverged"
+    );
+    assert_eq!(warm.converged, cold.converged, "{kernel}: convergence flag");
+    assert_eq!(
+        warm.iterations, cold.iterations,
+        "{kernel}: iteration history diverged"
+    );
+}
+
+/// Cross-iteration MILP warm starts must be invisible: a flow run with the
+/// warm-start store on produces a bit-identical outcome to one with it off
+/// — same buffers, levels, and per-iteration history. Warm starts may only
+/// change the *work* (pivots, nodes), never the placement.
+#[test]
+fn warm_started_flow_equals_cold_on_all_kernels() {
+    let kernels = hls::kernels::all_kernels_small();
+    let handles: Vec<_> = kernels
+        .into_iter()
+        .map(|k| {
+            std::thread::spawn(move || {
+                let warm_opts = test_opts();
+                let cold_opts = FlowOptions {
+                    milp_warm_start: false,
+                    ..test_opts()
+                };
+                let warm = optimize_iterative_with_cache(
+                    k.graph(),
+                    k.back_edges(),
+                    &warm_opts,
+                    &SynthCache::new(),
+                )
+                .expect("warm flow");
+                let cold = optimize_iterative_with_cache(
+                    k.graph(),
+                    k.back_edges(),
+                    &cold_opts,
+                    &SynthCache::new(),
+                )
+                .expect("cold flow");
+                (k.name, warm, cold)
+            })
+        })
+        .collect();
+    let mut any_warm_hit = false;
+    for h in handles {
+        let (name, warm, cold) = h.join().expect("kernel thread");
+        assert_results_identical(name, &warm, &cold);
+        assert_eq!(
+            cold.trace.milp_warm_hits, 0,
+            "{name}: warm-start-off flow must record no warm hits"
+        );
+        any_warm_hit |= warm.trace.milp_warm_hits > 0;
+    }
+    assert!(
+        any_warm_hit,
+        "no kernel adopted any warm start — the cross-iteration path is dead"
     );
 }
